@@ -2,7 +2,7 @@
 //
 // Times the scheduler hot path (Decide and SelectFeatures, fast vs. the
 // retained reference implementation) and the end-to-end OnlineRunner::Run
-// (fast vs. reference scheduler, and intra-video pipelining on vs. off), then
+// (fast vs. reference scheduler, and the batched plan on vs. off), then
 // writes the machine-readable BENCH_perf.json into the working directory (the
 // repo root in CI).
 //
@@ -15,9 +15,9 @@
 // over time.
 //
 // --profile additionally runs one instrumented pass of the pipelined e2e
-// variant and reports where its wall time goes phase by phase
-// (decide/detect/track/defer-join/eval/merge), as a table and a "profile"
-// section in the JSON.
+// variant and reports where its thread time goes phase by phase
+// (decide/detect/track/other/eval/merge), as a table and a "profile" section
+// in the JSON.
 //
 // Usage: bench_perf [--threads=N] [--out=PATH] [--profile]
 #include <algorithm>
@@ -33,7 +33,6 @@
 #include "src/features/light.h"
 #include "src/mbek/kernel.h"
 #include "src/pipeline/trainer.h"
-#include "src/sched/scheduler_session.h"
 #include "src/util/rng.h"
 #include "src/video/dataset.h"
 
@@ -119,29 +118,6 @@ double TimeSelect(const TrainedModels& models,
         models.accuracy.at(FeatureKind::kLight).Predict(light, {});
     sink += select(light, light_pred, MakeContext(c, static_cast<size_t>(i) % 7))
                 .size();
-  }
-  double total_us = timer.ElapsedMicros();
-  if (sink == static_cast<size_t>(-1)) {
-    std::cout << "";
-  }
-  return total_us / static_cast<double>(iters);
-}
-
-// Mean microseconds per Decide over repeated-context streaks: 16 consecutive
-// decisions share one context, the shape of a stream in a stable regime (same
-// branch, slowly-moving calibration). With a persistent SchedulerSession the
-// 15 repeats replay the cached cost table (and, for heavy-feature-free
-// decisions, the whole decision); `session == nullptr` times the fresh path
-// on the identical call pattern.
-double TimeDecideStreaks(const LiteReconfigScheduler& sched,
-                         const std::vector<DecisionCase>& cases, int iters,
-                         SchedulerSession* session) {
-  size_t sink = 0;
-  WallTimer timer;
-  for (int i = 0; i < iters; ++i) {
-    size_t streak = static_cast<size_t>(i) / 16;
-    const DecisionCase& c = cases[streak % cases.size()];
-    sink += sched.Decide(MakeContext(c, streak % 7), session).branch_index;
   }
   double total_us = timer.ElapsedMicros();
   if (sink == static_cast<size_t>(-1)) {
@@ -241,19 +217,10 @@ int Run(int argc, char** argv) {
         return full.SelectFeaturesReference(light, light_pred, ctx);
       });
 
-  // The batched scheduler: persistent-session Decide vs the identical fresh
-  // call pattern (repeated-context streaks; see TimeDecideStreaks).
-  SchedulerSession reuse_session;
-  double reuse_session_us =
-      TimeDecideStreaks(full, cases, kDecideIters, &reuse_session);
-  double reuse_fresh_us = TimeDecideStreaks(full, cases, kDecideIters, nullptr);
-  const SchedulerSession::Counters& reuse = reuse_session.counters();
-
-  // Fewer videos than workers: idle workers can absorb the deferred tracker
-  // halves, which is the production-shaped case of a stream count below the
-  // core count. The headline e2e comparison is fast-path vs reference
-  // scheduler (the scheduler pass dominates the per-GoF cost); pipeline on/off
-  // is reported alongside it.
+  // Fewer videos than workers: the production-shaped case of a stream count
+  // below the core count. The headline e2e comparison is fast-path vs
+  // reference scheduler (the scheduler pass dominates the per-GoF cost);
+  // pipeline on/off is reported alongside it.
   DatasetSpec e2e_spec;
   e2e_spec.base_seed = 33;
   e2e_spec.num_videos = 2;
@@ -274,10 +241,8 @@ int Run(int argc, char** argv) {
   double decide_speedup = full_fast_us > 0.0 ? full_ref_us / full_fast_us : 0.0;
   double pipeline_speedup =
       run_fast_ms > 0.0 ? run_serial_ms / run_fast_ms : 0.0;
-  double reuse_speedup =
-      reuse_session_us > 0.0 ? reuse_fresh_us / reuse_session_us : 0.0;
 
-  // One instrumented pass of the pipelined variant: where the wall time goes.
+  // One instrumented pass of the pipelined variant: where the time goes.
   PhaseProfile phases;
   double profile_wall_ms = 0.0;
   if (profile) {
@@ -313,44 +278,34 @@ int Run(int argc, char** argv) {
                           2)});
   table.AddRow({"Run e2e (pipeline on/off), ms", FmtDouble(run_fast_ms, 1),
                 FmtDouble(run_serial_ms, 1), FmtDouble(pipeline_speedup, 2)});
-  table.AddRow({"Decide streaks (session/fresh), us",
-                FmtDouble(reuse_session_us, 1), FmtDouble(reuse_fresh_us, 1),
-                FmtDouble(reuse_speedup, 2)});
   table.Print(std::cout);
 
   if (profile) {
-    double accounted_us = phases.decide_us + phases.detect_us +
-                          phases.track_us + phases.defer_join_us +
-                          phases.eval_us + phases.merge_us;
+    // Shares are over summed thread time, not process wall time: run_us is
+    // every video's RunVideo span on its own thread, eval_us its AP
+    // accumulation and merge_us the serial merge. Every phase nests in
+    // exactly one of those, so the rows sum to 100% at any --threads.
+    double thread_us = phases.run_us + phases.eval_us + phases.merge_us;
+    double other_us =
+        phases.run_us - phases.decide_us - phases.detect_us - phases.track_us;
     TablePrinter prof({"phase", "ms", "share"});
-    auto share = [&](double us) {
-      return FmtDouble(profile_wall_ms > 0.0
-                           ? 100.0 * us / (profile_wall_ms * 1000.0)
-                           : 0.0,
-                       1) +
-             "%";
+    auto add = [&](const std::string& phase, double us) {
+      prof.AddRow({phase, FmtDouble(us / 1000.0, 2),
+                   FmtDouble(thread_us > 0.0 ? 100.0 * us / thread_us : 0.0, 1) +
+                       "%"});
     };
-    prof.AddRow({"decide", FmtDouble(phases.decide_us / 1000.0, 2),
-                 share(phases.decide_us)});
-    prof.AddRow({"detect", FmtDouble(phases.detect_us / 1000.0, 2),
-                 share(phases.detect_us)});
-    prof.AddRow({"track", FmtDouble(phases.track_us / 1000.0, 2),
-                 share(phases.track_us)});
-    prof.AddRow({"defer-join", FmtDouble(phases.defer_join_us / 1000.0, 2),
-                 share(phases.defer_join_us)});
-    prof.AddRow({"eval", FmtDouble(phases.eval_us / 1000.0, 2),
-                 share(phases.eval_us)});
-    prof.AddRow({"merge", FmtDouble(phases.merge_us / 1000.0, 2),
-                 share(phases.merge_us)});
-    prof.AddRow({"other", FmtDouble(profile_wall_ms - accounted_us / 1000.0, 2),
-                 share(profile_wall_ms * 1000.0 - accounted_us)});
-    prof.AddRow({"total wall", FmtDouble(profile_wall_ms, 2), "100.0%"});
+    add("decide", phases.decide_us);
+    add("detect", phases.detect_us);
+    add("track", phases.track_us);
+    add("other", other_us);
+    add("eval", phases.eval_us);
+    add("merge", phases.merge_us);
+    add("thread total", thread_us);
+    prof.AddRow({"wall", FmtDouble(profile_wall_ms, 2), ""});
     prof.Print(std::cout);
-    std::cout << "[bench] profile: " << phases.gofs << " gofs ("
-              << phases.deferred_gofs << " deferred, " << phases.inline_gofs
-              << " inline), " << phases.decisions << " session decisions ("
-              << phases.decision_reuses << " replayed, " << phases.table_reuses
-              << " table reuses, " << phases.table_builds << " builds, "
+    std::cout << "[bench] profile: " << phases.gofs << " gofs, "
+              << phases.decisions << " session decisions ("
+              << phases.table_builds << " table builds, "
               << phases.switch_row_reuses << " switch-row reuses)\n";
   }
 
@@ -365,26 +320,16 @@ int Run(int argc, char** argv) {
   json << JsonSection("e2e_run", run_fast_ms, run_reference_ms, "ms") << ",\n";
   json << "  \"e2e_pipeline\": {\"on_ms\": " << run_fast_ms
        << ", \"off_ms\": " << run_serial_ms
-       << ", \"speedup\": " << pipeline_speedup << "},\n";
-  json << "  \"cost_table_reuse\": {\"session_us\": " << reuse_session_us
-       << ", \"fresh_us\": " << reuse_fresh_us
-       << ", \"speedup\": " << reuse_speedup
-       << ", \"decision_reuses\": " << reuse.decision_reuses
-       << ", \"table_reuses\": " << reuse.table_reuses
-       << ", \"table_builds\": " << reuse.table_builds
-       << ", \"switch_row_reuses\": " << reuse.switch_row_reuses
-       << ", \"decisions\": " << reuse.decisions << "}";
+       << ", \"speedup\": " << pipeline_speedup << "}";
   if (profile) {
     json << ",\n  \"profile\": {\"wall_ms\": " << profile_wall_ms
          << ", \"decide_ms\": " << phases.decide_us / 1000.0
          << ", \"detect_ms\": " << phases.detect_us / 1000.0
          << ", \"track_ms\": " << phases.track_us / 1000.0
-         << ", \"defer_join_ms\": " << phases.defer_join_us / 1000.0
+         << ", \"run_ms\": " << phases.run_us / 1000.0
          << ", \"eval_ms\": " << phases.eval_us / 1000.0
          << ", \"merge_ms\": " << phases.merge_us / 1000.0
-         << ", \"gofs\": " << phases.gofs
-         << ", \"deferred_gofs\": " << phases.deferred_gofs
-         << ", \"inline_gofs\": " << phases.inline_gofs << "}";
+         << ", \"gofs\": " << phases.gofs << "}";
   }
   json << "\n}\n";
   json.close();
@@ -400,7 +345,7 @@ int Run(int argc, char** argv) {
     std::cerr << "bench_perf: the pipelined+batched plan is "
               << FmtDouble(pipeline_speedup, 2)
               << "x the serial reference executor; the acceptance gate is "
-                 "1.0x (pipelining must never cost throughput)\n";
+                 "1.0x (the batched plan must never cost throughput)\n";
     return 1;
   }
   return 0;

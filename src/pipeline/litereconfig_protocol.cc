@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <memory>
 
 #include "src/features/light.h"
 #include "src/mbek/kernel.h"
@@ -12,7 +11,6 @@
 #include "src/sched/drift.h"
 #include "src/sched/scheduler_session.h"
 #include "src/util/rng.h"
-#include "src/util/thread_pool.h"
 
 namespace litereconfig {
 
@@ -24,11 +22,6 @@ constexpr double kCalibrationEwma = 0.3;
 constexpr int kTailFrames = 12;
 // Object count assumed when ranking branches for the watchdog fallback.
 constexpr int kFallbackObjectCount = 3;
-// Tracker halves smaller than this many track-steps (tracked objects x tail
-// frames) run inline even with pipelining on: the defer round-trip (enqueue +
-// worker wakeup + join) costs more than simulating a small tail, so only GoFs
-// with real tracking work are worth shipping to a pool worker.
-constexpr int kPipelineMinTrackSteps = 64;
 // Predictive robustness: the drift monitor runs per video stream (tens of
 // GoFs), so its window and bias threshold are sized well below the offline
 // defaults — a thermal ramp must be caught before the stream ends.
@@ -45,45 +38,6 @@ TrackerConfig CoastTracker(const Branch& branch) {
   return branch.has_tracker ? branch.tracker
                             : TrackerConfig{TrackerType::kMedianFlow, 4};
 }
-
-// One in-flight GoF tracker half. The anchor is already in its stats.frames
-// slot and TrackRemainderInto writes the tracked frames directly into the
-// preallocated slots that follow it, so joining a deferred half moves nothing.
-// The slot — including its SoA scratch arena — is reused across GoFs: steady
-// state launches allocate no track state at all. `task` is declared last so
-// its destructor joins before the members the deferred closure reads are
-// destroyed.
-struct PendingGof {
-  const SyntheticVideo* video = nullptr;
-  Branch branch;                          // gof clipped to the executed length
-  int start = 0;
-  uint64_t salt = 0;
-  const DetectionList* anchor = nullptr;  // the anchor's stats.frames slot
-  DetectionList* out = nullptr;           // first tracked-frame slot
-  TrackBatch scratch;
-  bool use_arena = true;                  // false: reference allocating wrapper
-  bool in_flight = false;
-  DeferredTask task;
-
-  void Run() {
-    if (use_arena) {
-      ExecutionKernel::TrackRemainderInto(*video, start, branch, *anchor, salt,
-                                          scratch, out);
-      return;
-    }
-    // Reference executor: the seed's allocating wrapper — a fresh track arena
-    // and a per-GoF vector of frames, moved into the slots afterwards. Value-
-    // identical to the arena form (KernelTest pins it); kept as the
-    // pipeline=false baseline the same way DecideReference is kept for the
-    // scheduler, so the on/off comparison measures the batched executor
-    // against the original path.
-    std::vector<DetectionList> frames =
-        ExecutionKernel::TrackRemainder(*video, start, branch, *anchor, salt);
-    for (size_t i = 0; i < frames.size(); ++i) {
-      out[i] = std::move(frames[i]);
-    }
-  }
-};
 
 }  // namespace
 
@@ -139,15 +93,13 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
   VideoRunStats stats;
   const PhaseClockFn now = env.now_us;
   const double run_t0 = now != nullptr ? now() : 0.0;
-  // Every frame slot is preallocated so GoF outputs — including deferred
-  // tracker halves — are written in place. The invariant is that slots
-  // [0, t) hold the emitted frames (possibly still being written by the one
-  // in-flight task); the final resize trims a fault-truncated run.
+  // Every frame slot is preallocated so GoF outputs are written in place.
+  // The invariant is that slots [0, t) hold the emitted frames; the final
+  // resize trims a fault-truncated run.
   stats.frames.resize(static_cast<size_t>(video.frame_count()));
-  // The batched scheduler: one session per stream reuses switch-cost rows,
-  // cost tables and (heavy-feature-free) whole decisions across consecutive
-  // GoFs behind an explicit invalidation key. The serial reference executor
-  // (env.pipeline == false) decides from scratch every GoF instead.
+  // The batched scheduler: one session per stream reuses the switch-cost row
+  // and effective-GoF columns across consecutive GoFs. The serial reference
+  // executor (env.pipeline == false) decides from scratch every GoF instead.
   SchedulerSession session;
   SchedulerSession* const session_ptr = env.pipeline ? &session : nullptr;
   Pcg32 rng(HashKeys({video.spec().seed, env.run_salt, 0x117e2ull}));
@@ -226,33 +178,18 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
       gpu_cal = observed / profiled.DetectorMs(probe);
     }
   }
-  // Intra-video pipelining: the previous GoF's tracker simulation runs as a
-  // deferred task while this iteration's scheduler pass (including heavy
-  // content-feature extraction) executes, writing straight into its
-  // preallocated stats.frames slots; the join happens before anything reads
-  // those slots. The deferred closure is a pure function of its inputs and
-  // consumes no RNG, so results are bit-identical to the serial order at any
-  // thread count.
-  PendingGof pending;
-  pending.video = &video;
-  pending.salt = env.run_salt;
-  pending.use_arena = env.pipeline;
-  auto flush_pending = [&pending, &stats, now]() {
-    if (!pending.in_flight) {
-      return;
-    }
-    ScopedPhase join_phase(now, &stats.phases.defer_join_us);
-    pending.task.Join();
-    pending.in_flight = false;
-  };
-  // Tail/coast continuations go through the same executor split: the batched
-  // path writes into the preallocated slots via the shared arena, the
-  // reference path keeps the allocating TrackOnly wrapper (value-identical).
+  // The batched plan's SoA track arena, reused by every tracker half of the
+  // stream: steady-state GoFs allocate no track state at all.
+  TrackBatch scratch;
+  // Tail/coast continuations go through the same executor split as the GoF
+  // tracker half: the batched path writes into the preallocated slots via the
+  // shared arena, the reference path keeps the allocating TrackOnly wrapper
+  // (value-identical).
   auto track_only = [&](int start, int length, const TrackerConfig& tracker,
                         const DetectionList& init) {
     if (env.pipeline) {
       return ExecutionKernel::TrackOnlyInto(video, start, length, tracker, init,
-                                            env.run_salt, pending.scratch,
+                                            env.run_salt, scratch,
                                             stats.frames.data() + start);
     }
     std::vector<DetectionList> frames = ExecutionKernel::TrackOnly(
@@ -352,16 +289,10 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
       }
       decision = scheduler_.Decide(ctx, session_ptr);
     }
-    // The decision above only needed the previous anchor. The in-flight GoF
-    // stays in flight until something actually reads stats.frames (the tail
-    // and coast paths) or the next GoF is launched, so the deferred tracker
-    // half overlaps this whole iteration — scheduler pass and anchor
-    // detection included. Frames [0, t) are always emitted (possibly still
-    // being written by the in-flight task), so t > 0 means frames exist.
+    // Frames [0, t) are always emitted, so t > 0 means frames exist.
     bool have_frames = t > 0;
     if (decision.infeasible && current.has_value() &&
         video.frame_count() - t <= kTailFrames && have_frames) {
-      flush_pending();
       // Tail continuation: no detector pass fits the remaining frames; keep
       // tracking from the last emitted outputs, writing into the preallocated
       // slots (the init frame is slot t-1, the outputs start at slot t — no
@@ -428,7 +359,6 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
         }
       }
       length = std::max(length, 1);
-      flush_pending();
       const DetectionList& last_frame = stats.frames[t - 1];
       int coast_len;
       {
@@ -467,7 +397,7 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
     }
     // The anchor half of the GoF runs now (the decision and latency accounting
     // below need only the anchor detections and the frame count); the tracker
-    // half is deferred and overlaps the next iteration's scheduler pass.
+    // half runs once the accounting is done.
     int length = std::min(branch.gof, video.frame_count() - t);
     if (denied && has_cpu_family) {
       // Run the CPU family only as long as the denial holds: the GoF ends at
@@ -513,7 +443,7 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
     if (branch.has_tracker) {
       // The latency model charges per tracked object and per frame; neither
       // depends on the simulated tracker outputs, so the samples draw from the
-      // RNG in the serial order while the tracker frames are still in flight.
+      // RNG before the tracker frames are simulated.
       int tracked = CountConfident(anchor_dets);
       for (int i = 1; i < length; ++i) {
         track_total += platform->Sample(
@@ -647,60 +577,45 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
         }
       }
     }
-    // Launch the tracker half of this GoF: the anchor lands in its slot now
-    // (the deferred closure reads it; Defer's enqueue orders the write before
-    // the worker runs) and the tracked frames follow it in place. Deferring
-    // only pays when another thread can absorb the work, so serial runs —
-    // pipelined or not — execute the same call inline: one code path,
-    // identical outputs. The batched plan re-aims anchor_ref at the slot
-    // (same bytes, no copy); the reference executor keeps the per-GoF copy.
+    // The tracker half of this GoF: the anchor lands in its slot and the
+    // tracked frames follow it in place. The batched plan re-aims anchor_ref
+    // at the slot (same bytes, no copy); the reference executor keeps the
+    // per-GoF copy.
     if (env.pipeline) {
       anchor_ref = stats.frames.data() + t;
     } else {
       anchor = anchor_dets;
     }
-    flush_pending();
     stats.frames[t] = std::move(anchor_dets);
-    pending.start = t;
-    pending.branch = branch;
     // The tracker half must stop where the latency accounting stopped: a
     // denial-clipped GoF ends at the interval boundary, not at branch.gof
-    // (TrackRemainderInto derives its span from the branch's own GoF length).
-    pending.branch.gof = length;
-    pending.anchor = stats.frames.data() + t;
-    pending.out = stats.frames.data() + t + 1;
-    int track_steps = branch.has_tracker
-                          ? (length - 1) * CountConfident(*pending.anchor)
-                          : 0;
+    // (TrackRemainder derives its span from the branch's own GoF length).
+    Branch tracked_branch = branch;
+    tracked_branch.gof = length;
+    const DetectionList& gof_anchor = stats.frames[t];
+    DetectionList* tracked_out = stats.frames.data() + t + 1;
     ++stats.phases.gofs;
-    if (env.pipeline && env.threads > 1 &&
-        track_steps >= kPipelineMinTrackSteps) {
-      ++stats.phases.deferred_gofs;
-      pending.task = ThreadPool::Shared().Defer([p = &pending]() { p->Run(); });
-      pending.in_flight = true;
-    } else {
-      ++stats.phases.inline_gofs;
+    {
       ScopedPhase track_phase(now, &stats.phases.track_us);
       if (env.pipeline) {
-        pending.Run();
+        ExecutionKernel::TrackRemainderInto(video, t, tracked_branch, gof_anchor,
+                                            env.run_salt, scratch, tracked_out);
       } else {
-        // Reference executor: the seed allocated a fresh GoF slot per launch
-        // (no reused scratch arena). Same inputs, same wrapper, same outputs.
-        auto ref = std::make_unique<PendingGof>();
-        ref->video = pending.video;
-        ref->salt = pending.salt;
-        ref->use_arena = false;
-        ref->start = pending.start;
-        ref->branch = pending.branch;
-        ref->anchor = pending.anchor;
-        ref->out = pending.out;
-        ref->Run();
+        // Reference executor: the seed's allocating wrapper — a fresh track
+        // arena and a per-GoF vector of frames, moved into the slots
+        // afterwards. Value-identical to the arena form (KernelTest pins it);
+        // kept as the pipeline=false baseline the same way DecideReference is
+        // kept for the scheduler.
+        std::vector<DetectionList> frames = ExecutionKernel::TrackRemainder(
+            video, t, tracked_branch, gof_anchor, env.run_salt);
+        for (size_t i = 0; i < frames.size(); ++i) {
+          tracked_out[i] = std::move(frames[i]);
+        }
       }
     }
     t += static_cast<int>(len);
     current = decision.branch_index;
   }
-  flush_pending();
   // Trim a fault-truncated run back to the frames actually emitted.
   stats.frames.resize(static_cast<size_t>(t));
   const SchedulerSession::Counters& reuse = session.counters();

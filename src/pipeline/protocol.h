@@ -39,16 +39,15 @@ using PhaseClockFn = double (*)();
 struct PhaseProfile {
   double decide_us = 0.0;      // scheduler passes (feature selection included)
   double detect_us = 0.0;      // anchor detector simulation
-  double track_us = 0.0;       // tracker simulation run inline on this thread
-  double defer_join_us = 0.0;  // waiting on deferred tracker halves
+  double track_us = 0.0;       // tracker simulation
   double eval_us = 0.0;        // per-video AP accumulation (runner)
   double merge_us = 0.0;       // video-order merge + metric aggregation (runner)
   double run_us = 0.0;         // whole RunVideo wall time
 
   long gofs = 0;
-  long deferred_gofs = 0;  // tracker halves shipped to the pool
-  long inline_gofs = 0;    // tracker halves run on the decision thread
-  // Scheduler-session reuse accounting (zero when no session was used).
+  // Scheduler-session reuse accounting (zero when no session was used; see
+  // SchedulerSession::Counters — decision_reuses and table_reuses are
+  // always 0).
   long decisions = 0;
   long decision_reuses = 0;
   long table_reuses = 0;
@@ -59,13 +58,10 @@ struct PhaseProfile {
     decide_us += other.decide_us;
     detect_us += other.detect_us;
     track_us += other.track_us;
-    defer_join_us += other.defer_join_us;
     eval_us += other.eval_us;
     merge_us += other.merge_us;
     run_us += other.run_us;
     gofs += other.gofs;
-    deferred_gofs += other.deferred_gofs;
-    inline_gofs += other.inline_gofs;
     decisions += other.decisions;
     decision_reuses += other.decision_reuses;
     table_reuses += other.table_reuses;
@@ -114,21 +110,15 @@ struct RunEnv {
   // recalibration loop. Only takes effect when faults are injected and
   // `degrade` is on; the no-fault path is untouched by construction.
   bool predictive = false;
-  // The pipelined + batched execution plan. Protocols that support it
-  // (a) reuse scheduler state across consecutive GoF decisions of the same
-  // stream (SchedulerSession: cost tables and whole decisions replayed behind
-  // an explicit invalidation key), and (b) overlap the GoF's tracker-frame
-  // simulation with the next decision's scheduler pass (ThreadPool::Defer)
-  // when the run has real parallelism. Off is the serial reference executor —
-  // fresh tables every decision, tracker halves inline. Results are
-  // bit-identical either way — the flag exists for the perf harness and for
-  // the identity tests that prove it.
+  // The batched execution plan. Protocols that support it (a) reuse the
+  // switch-cost row and effective-GoF columns of the cost table across
+  // consecutive GoF decisions of the same stream (SchedulerSession), and
+  // (b) track each GoF into its preallocated frame slots through a reused
+  // scratch arena (ExecutionKernel::TrackRemainderInto). Off is the serial
+  // reference executor — fresh tables every decision, the allocating
+  // TrackRemainder wrapper. Results are bit-identical either way — the flag
+  // exists for the perf harness and for the identity tests that prove it.
   bool pipeline = true;
-  // The run's resolved worker parallelism (the runner fills it in). Deferring
-  // tracker halves only pays when another thread can actually absorb them, so
-  // the pipelined plan runs them inline when threads <= 1 — an execution
-  // strategy choice that cannot affect results.
-  int threads = 1;
   // Optional per-phase profiling clock; null (the default) disables timing.
   PhaseClockFn now_us = nullptr;
 };

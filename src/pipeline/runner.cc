@@ -27,8 +27,9 @@ EvalResult OnlineRunner::Run(Protocol& protocol, const Dataset& validation,
   env.degrade = config.degrade;
   env.predictive = config.predictive;
   env.pipeline = config.pipeline;
-  env.threads = ResolveThreadCount(config.threads);
   env.now_us = config.now_us;
+
+  const int threads = ResolveThreadCount(config.threads);
 
   protocol.Reset();
 
@@ -56,7 +57,7 @@ EvalResult OnlineRunner::Run(Protocol& protocol, const Dataset& validation,
                            pv.stats.frames[t]);
         }
       },
-      env.threads);
+      threads);
 
   // Merge in video order — bitwise identical to a sequential walk.
   EvalResult result;

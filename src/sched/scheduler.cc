@@ -260,25 +260,16 @@ SchedulerDecision LiteReconfigScheduler::Decide(const DecisionContext& ctx,
   const VideoSpec& spec = ctx.video->spec();
   std::vector<double> light =
       ComputeLightFeatures(spec.width, spec.height, *ctx.anchor_detections);
-  if (session != nullptr) {
-    // Whole-decision replay: when every key field matches the cached decision
-    // (and that decision used no heavy features), the pass below would
-    // recompute the identical result — skip it.
-    SchedulerDecision replayed;
-    if (session->LookupDecision(*models_, config_, ctx, light, &replayed)) {
-      return replayed;
-    }
-  }
   const AccuracyPredictor& light_model = models_->accuracy.at(FeatureKind::kLight);
   std::vector<double> light_pred = light_model.Predict(light, {});
 
   // The per-decision cost table: one latency-predictor pass per branch, shared
   // by feature selection, the branch scan, and the hysteresis check below.
-  // Sessions serve it from their cross-GoF cache instead of rebuilding.
+  // Sessions rebuild it in place, reusing the columns that did not change.
   DecisionCostTable local_table;
   const DecisionCostTable* table_ptr;
   if (session != nullptr) {
-    table_ptr = &session->TableFor(*models_, config_, ctx);
+    table_ptr = &session->TableFor(*models_, config_, ctx, light);
   } else {
     local_table = DecisionCostTable::Build(*models_, config_, ctx, light);
     table_ptr = &local_table;
@@ -354,9 +345,6 @@ SchedulerDecision LiteReconfigScheduler::Decide(const DecisionContext& ctx,
         models_->space->at(*ctx.current_branch), models_->space->at(best_branch));
   }
   decision.light_features = std::move(light);
-  if (session != nullptr) {
-    session->StoreDecision(decision);
-  }
   return decision;
 }
 

@@ -158,9 +158,8 @@ class LiteReconfigScheduler {
   //
   // With a non-null `session` (one per video stream; see
   // src/sched/scheduler_session.h) consecutive decisions additionally reuse
-  // the cost table — and, when no heavy features are in play, the whole
-  // decision — across GoFs behind an explicit invalidation key. Decisions are
-  // bit-identical with or without a session at any reuse pattern.
+  // the cost table's switch-cost row and effective-GoF columns across GoFs.
+  // Decisions are bit-identical with or without a session.
   SchedulerDecision Decide(const DecisionContext& ctx,
                            SchedulerSession* session) const;
   SchedulerDecision Decide(const DecisionContext& ctx) const {

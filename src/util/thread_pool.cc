@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <exception>
 #include <limits>
+#include <memory>
 #include <string>
 
 #include "src/util/mutex.h"
@@ -68,97 +69,6 @@ struct ThreadPool::Job {
     }
   }
 };
-
-// Shared between the DeferredTask handle and the worker-side closure copy.
-// `claimed` arbitrates exactly-once execution between a pool worker and a
-// stealing Join(); `done` + `error` publish completion to the joiner.
-struct DeferredTask::State {
-  // Set once before the state is shared; only read afterwards.
-  // detlint: allow(guarded-by-coverage) written before publication, immutable after
-  std::function<void()> fn;
-
-  Mutex mu;
-  CondVar cv;
-  bool claimed LR_GUARDED_BY(mu) = false;
-  bool done LR_GUARDED_BY(mu) = false;
-  std::exception_ptr error LR_GUARDED_BY(mu);
-
-  // Returns true if the caller won the right to run fn.
-  bool TryClaim() {
-    MutexLock lock(mu);
-    if (claimed) {
-      return false;
-    }
-    claimed = true;
-    return true;
-  }
-
-  // Runs fn (the caller must have won TryClaim) and publishes completion.
-  void RunClaimed() {
-    std::exception_ptr err;
-    try {
-      fn();
-    } catch (...) {
-      err = std::current_exception();
-    }
-    {
-      MutexLock lock(mu);
-      error = err;
-      done = true;
-    }
-    cv.NotifyAll();
-  }
-};
-
-DeferredTask::DeferredTask(std::shared_ptr<State> state)
-    : state_(std::move(state)) {}
-
-DeferredTask::~DeferredTask() {
-  if (!state_) {
-    return;
-  }
-  try {
-    Join();
-  } catch (...) {
-    // An unobserved deferred exception dies with the handle, like std::thread
-    // detached work; callers that care must Join() explicitly.
-  }
-}
-
-DeferredTask& DeferredTask::operator=(DeferredTask&& other) {
-  if (this != &other) {
-    if (state_) {
-      try {
-        Join();
-      } catch (...) {
-      }
-    }
-    state_ = std::move(other.state_);
-  }
-  return *this;
-}
-
-void DeferredTask::Join() {
-  if (!state_) {
-    return;
-  }
-  std::shared_ptr<State> state = std::move(state_);
-  if (state->TryClaim()) {
-    // No worker got to it yet: steal it back and run inline.
-    state->RunClaimed();
-  }
-  std::exception_ptr error;
-  {
-    MutexLock lock(state->mu);
-    while (!state->done) {
-      state->cv.Wait(state->mu);
-    }
-    error = std::move(state->error);
-  }
-  if (error) {
-    std::rethrow_exception(error);
-  }
-}
 
 ThreadPool::ThreadPool(int num_workers) {
   workers_.reserve(static_cast<size_t>(std::max(0, num_workers)));
@@ -250,23 +160,6 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& body,
   if (error) {
     std::rethrow_exception(error);
   }
-}
-
-DeferredTask ThreadPool::Defer(std::function<void()> fn) {
-  auto state = std::make_shared<DeferredTask::State>();
-  state->fn = std::move(fn);
-  if (num_workers() > 0) {
-    {
-      MutexLock lock(mu_);
-      queue_.emplace_back([state] {
-        if (state->TryClaim()) {
-          state->RunClaimed();
-        }
-      });
-    }
-    cv_.NotifyOne();
-  }
-  return DeferredTask(state);
 }
 
 ThreadPool& ThreadPool::Shared() {

@@ -4,6 +4,8 @@
 // change wall-clock time, never metrics.
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "src/baselines/approxdet.h"
 #include "src/pipeline/litereconfig_protocol.h"
 #include "src/pipeline/runner.h"
@@ -89,10 +91,11 @@ TEST(ParallelEvalTest, ParallelRunIsStableAcrossRepeats) {
   ExpectIdentical(first, second);
 }
 
-// The intra-video pipelining contract: the deferred tracker simulation is a
-// pure function of its inputs, so the pipelined run is bit-identical to the
-// serial (pipeline=false) run at every thread count, including with faults and
-// the predictive-robustness loops armed.
+// The batched-plan contract: the scheduler session and the arena-backed
+// tracker halves reproduce the serial reference executor exactly, so the
+// pipelined run is bit-identical to the serial (pipeline=false) run at every
+// thread count, including with faults and the predictive-robustness loops
+// armed.
 TEST(ParallelEvalTest, PipelinedRunMatchesSerialAtEveryThreadCount) {
   LiteReconfigProtocol protocol(&TinyModels(), LiteReconfigProtocol::FullConfig(),
                                 "lrc");
@@ -134,10 +137,10 @@ TEST(ParallelEvalTest, PipelinedRunIsIdenticalUnderFaultsAndPredictive) {
 }
 
 // Same identity with GPU contention armed: contention drives the per-GoF EWMA
-// recalibration, so every scheduler invocation sees a fresh calibration
-// fingerprint and the SchedulerSession invalidation key must force rebuilds
-// rather than serve stale tables. The batched (pipeline=true) run must still
-// match the serial reference bit-for-bit at every thread count.
+// recalibration, so every scheduler invocation prices the latency column at a
+// fresh calibration while the SchedulerSession reuses the switch-cost row and
+// effective-GoF columns. The batched (pipeline=true) run must still match the
+// serial reference bit-for-bit at every thread count.
 TEST(ParallelEvalTest, PipelinedBatchedRunIsIdenticalUnderFaultsAndContention) {
   LiteReconfigProtocol protocol(&TinyModels(), LiteReconfigProtocol::FullConfig(),
                                 "lrc");
@@ -158,6 +161,34 @@ TEST(ParallelEvalTest, PipelinedBatchedRunIsIdenticalUnderFaultsAndContention) {
     config.pipeline = true;
     EvalResult pipelined = OnlineRunner::Run(protocol, TinyValidation(), config);
     ExpectIdentical(serial, pipelined);
+  }
+}
+
+// A shared tick counter as the injected profiling clock: every read advances
+// it, so the phases one video times on its own thread are disjoint slices of
+// that video's RunVideo span at any thread count.
+std::atomic<long> g_ticks{0};
+double TickClockUs() { return static_cast<double>(g_ticks.fetch_add(1) + 1); }
+
+// The per-phase profile times every phase on its video's own thread, so the
+// decide, detect and track phases nest inside run_us at every thread count —
+// the invariant that makes bench_perf's --profile shares sum to 100%.
+TEST(ParallelEvalTest, PhaseProfileNestsInsideRunTimeAtEveryThreadCount) {
+  LiteReconfigProtocol protocol(&TinyModels(), LiteReconfigProtocol::FullConfig(),
+                                "lrc");
+  for (int threads : {1, 4}) {
+    EvalConfig config;
+    config.slo_ms = 33.3;
+    config.threads = threads;
+    config.now_us = &TickClockUs;
+    EvalResult result = OnlineRunner::Run(protocol, TinyValidation(), config);
+    const PhaseProfile& p = result.phases;
+    EXPECT_GT(p.gofs, 0) << "threads " << threads;
+    EXPECT_GT(p.decide_us, 0.0) << "threads " << threads;
+    EXPECT_GT(p.detect_us, 0.0) << "threads " << threads;
+    EXPECT_GT(p.track_us, 0.0) << "threads " << threads;
+    EXPECT_LE(p.decide_us + p.detect_us + p.track_us, p.run_us)
+        << "threads " << threads;
   }
 }
 

@@ -112,11 +112,11 @@ TEST(SchedFastPathTest, DecideMatchesReferenceAcrossRandomizedConfigs) {
 }
 
 // The batched scheduler's binding contract: a persistent SchedulerSession —
-// whole-decision replay, cost-table reuse, switch-row/gof-column component
-// caches — must return bit-identical decisions to both the session-free fast
-// path and the reference implementation on every field, across streaks of
-// repeated contexts (where the caches hit) and across every perturbation of
-// the invalidation key (where they must miss and rebuild).
+// switch-cost row and effective-GoF column caches — must return bit-identical
+// decisions to both the session-free fast path and the reference
+// implementation on every field, across streaks of repeated contexts (where
+// the row cache hits) and across perturbations of every decision input
+// (where a column whose key moved must be rebuilt).
 TEST(SchedFastPathTest, SessionDecideMatchesFreshAndReference) {
   const TrainedModels& models = TinyModels();
   const BranchSpace& space = *models.space;
@@ -128,7 +128,7 @@ TEST(SchedFastPathTest, SessionDecideMatchesFreshAndReference) {
       LiteReconfigMode::kMaxContentResNet, LiteReconfigMode::kForceFeature,
   };
 
-  uint64_t total_reuses = 0;
+  uint64_t total_row_reuses = 0;
   uint64_t total_decisions = 0;
   for (int trial = 0; trial < 200; ++trial) {
     SchedulerConfig config;
@@ -164,15 +164,17 @@ TEST(SchedFastPathTest, SessionDecideMatchesFreshAndReference) {
     }
     ctx.frames_remaining = video.frame_count() - frame;
 
-    // A streak of decisions through one session: the identical context twice
-    // (replay / full-table reuse), then every key field perturbed in turn
-    // (each a forced invalidation). Every step must match the session-free
-    // fast path and the reference bit for bit.
+    // A streak of decisions through one session: the identical context twice,
+    // then the SLO, the calibration and the frames-remaining clamp perturbed
+    // in turn (the switch-cost row is reused across all of them; the clamp
+    // step recomputes the effective-GoF columns), then the current branch
+    // moved (a row rebuild unless it lands on the same branch). Every step
+    // must match the session-free fast path and the reference bit for bit.
     for (int step = 0; step < 6; ++step) {
       switch (step) {
         case 0:
         case 1:
-          break;  // identical context back to back: caches hit
+          break;  // identical context back to back
         case 2:
           ctx.slo_ms += 1.0;
           break;
@@ -186,20 +188,30 @@ TEST(SchedFastPathTest, SessionDecideMatchesFreshAndReference) {
           ctx.current_branch = rng.NextU32() % space.size();
           break;
       }
+      const long row_reuses_before = session.counters().switch_row_reuses;
       SchedulerDecision via_session = scheduler.Decide(ctx, &session);
       ExpectIdenticalDecisions(via_session, scheduler.Decide(ctx),
                                trial * 10 + step);
       ExpectIdenticalDecisions(via_session, scheduler.DecideReference(ctx),
                                trial * 10 + step);
+      if (step >= 1 && step <= 4) {
+        // The current branch has not moved since step 0: the row must be
+        // served from the cache, not rebuilt.
+        EXPECT_EQ(session.counters().switch_row_reuses, row_reuses_before + 1)
+            << "trial " << trial << " step " << step;
+      }
     }
     const SchedulerSession::Counters& counters = session.counters();
     total_decisions += counters.decisions;
-    total_reuses += counters.decision_reuses + counters.table_reuses +
-                    counters.switch_row_reuses;
+    total_row_reuses += counters.switch_row_reuses;
+    // Every decision rebuilds its table; nothing is replayed whole.
+    EXPECT_EQ(counters.table_builds, counters.decisions);
+    EXPECT_EQ(counters.decision_reuses, 0);
+    EXPECT_EQ(counters.table_reuses, 0);
   }
-  // The streaks must actually exercise the caches — a key that never matches
-  // would make this test vacuously pass on a broken lookup.
-  EXPECT_GT(total_reuses, 0u);
+  // The streaks must actually exercise the switch-row cache — a cache that
+  // never hits would make the identity checks above vacuous.
+  EXPECT_GT(total_row_reuses, 0u);
   EXPECT_EQ(total_decisions, 200u * 6u);
 }
 

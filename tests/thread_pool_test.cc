@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -150,100 +149,6 @@ TEST(ThreadPoolTest, SharedPoolSupportsExplicitThreadRequests) {
   for (size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i], i + 1);
   }
-}
-
-TEST(DeferredTaskTest, RunsExactlyOnceAndJoinReturnsAfterCompletion) {
-  ThreadPool pool(2);
-  std::atomic<int> runs{0};
-  DeferredTask task = pool.Defer([&] { runs.fetch_add(1); });
-  task.Join();
-  EXPECT_EQ(runs.load(), 1);
-  task.Join();  // idempotent
-  EXPECT_EQ(runs.load(), 1);
-}
-
-TEST(DeferredTaskTest, ZeroWorkersStealsBackAndRunsInline) {
-  ThreadPool pool(0);
-  int runs = 0;
-  DeferredTask task = pool.Defer([&] { ++runs; });
-  EXPECT_EQ(runs, 0);  // nothing can have claimed it
-  task.Join();
-  EXPECT_EQ(runs, 1);
-}
-
-TEST(DeferredTaskTest, DefaultConstructedJoinIsANoOp) {
-  DeferredTask task;
-  EXPECT_FALSE(task.valid());
-  task.Join();
-}
-
-TEST(DeferredTaskTest, JoinRethrowsTheClosureException) {
-  ThreadPool pool(0);  // force the steal-back path for a deterministic thrower
-  DeferredTask task =
-      pool.Defer([] { throw std::runtime_error("deferred boom"); });
-  EXPECT_THROW(task.Join(), std::runtime_error);
-  task.Join();  // already observed; must not rethrow
-}
-
-TEST(DeferredTaskTest, DestructorJoinsUnclaimedWork) {
-  ThreadPool pool(0);
-  int runs = 0;
-  {
-    DeferredTask task = pool.Defer([&] { ++runs; });
-    (void)task;
-  }
-  EXPECT_EQ(runs, 1);
-}
-
-TEST(DeferredTaskTest, DeferFromInsideParallelForBodyCannotDeadlock) {
-  // The intra-video pipelining shape: every ParallelFor body defers work to
-  // the same pool that runs the bodies. Even with every worker busy, Join()
-  // steals the closure back instead of waiting on pool capacity.
-  ThreadPool pool(2);
-  std::vector<int> out(64, 0);
-  pool.ParallelFor(out.size(), [&](size_t i) {
-    int value = 0;
-    DeferredTask task = pool.Defer([&value, i] { value = static_cast<int>(i) + 1; });
-    task.Join();
-    out[i] = value;
-  });
-  for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], static_cast<int>(i) + 1);
-  }
-}
-
-TEST(DeferredTaskTest, ManyConcurrentDefersAllComplete) {
-  ThreadPool pool(3);
-  constexpr int kTasks = 200;
-  std::vector<std::unique_ptr<std::atomic<int>>> counters;
-  counters.reserve(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    counters.push_back(std::make_unique<std::atomic<int>>(0));
-  }
-  std::vector<DeferredTask> tasks;
-  tasks.reserve(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    std::atomic<int>* counter = counters[static_cast<size_t>(i)].get();
-    tasks.push_back(pool.Defer([counter] { counter->fetch_add(1); }));
-  }
-  for (DeferredTask& task : tasks) {
-    task.Join();
-  }
-  for (const auto& counter : counters) {
-    EXPECT_EQ(counter->load(), 1);
-  }
-}
-
-TEST(DeferredTaskTest, MoveAssignJoinsThePreviousTask) {
-  ThreadPool pool(0);
-  int first_runs = 0;
-  int second_runs = 0;
-  DeferredTask task = pool.Defer([&] { ++first_runs; });
-  task = pool.Defer([&] { ++second_runs; });
-  EXPECT_EQ(first_runs, 1);  // joined by the assignment
-  EXPECT_EQ(second_runs, 0);
-  task.Join();
-  EXPECT_EQ(second_runs, 1);
 }
 
 }  // namespace

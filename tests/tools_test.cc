@@ -130,9 +130,11 @@ TEST(TraceTest, RoundTripPreservesFields) {
   writer.Write(original);
   writer.Flush();
   std::istringstream is(os.str());
-  std::vector<DecisionRecord> records = TraceReader::ReadAll(is);
-  ASSERT_EQ(records.size(), 1u);
-  const DecisionRecord& record = records[0];
+  std::string error;
+  auto records = TraceReader::ReadAllStrict(is, &error);
+  ASSERT_TRUE(records.has_value()) << error;
+  ASSERT_EQ(records->size(), 1u);
+  const DecisionRecord& record = (*records)[0];
   EXPECT_EQ(record.video_seed, original.video_seed);
   EXPECT_EQ(record.frame, original.frame);
   EXPECT_EQ(record.branch_id, original.branch_id);
@@ -156,14 +158,11 @@ TEST(TraceTest, EmptyFeaturesRoundTrip) {
   writer.Write(record);
   writer.Flush();
   std::istringstream is(os.str());
-  std::vector<DecisionRecord> records = TraceReader::ReadAll(is);
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_TRUE(records[0].features.empty());
-}
-
-TEST(TraceTest, MalformedLinesAreSkipped) {
-  std::istringstream is("not json\n{\"video\":1}\n");
-  EXPECT_TRUE(TraceReader::ReadAll(is).empty());
+  std::string error;
+  auto records = TraceReader::ReadAllStrict(is, &error);
+  ASSERT_TRUE(records.has_value()) << error;
+  ASSERT_EQ(records->size(), 1u);
+  EXPECT_TRUE((*records)[0].features.empty());
 }
 
 TEST(TraceTest, ParseLineRejectsMissingCoreFields) {

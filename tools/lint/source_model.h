@@ -142,7 +142,7 @@ struct MemberModel {
 };
 
 struct ClassModel {
-  std::string name;  // possibly qualified, e.g. "DeferredTask::State"
+  std::string name;  // possibly qualified, e.g. "ThreadPool::Job"
   Extent body;       // between the braces
   int line = 0;
   std::vector<MemberModel> members;
