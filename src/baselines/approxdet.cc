@@ -5,7 +5,7 @@
 #include <limits>
 
 #include "src/features/light.h"
-#include "src/mbek/kernel.h"
+#include "src/platform/gof_exec.h"
 #include "src/sched/contention_estimator.h"
 #include "src/util/rng.h"
 
@@ -60,8 +60,13 @@ VideoRunStats ApproxDetProtocol::RunVideo(const SyntheticVideo& video,
   const BranchSpace& space = *models_->space;
   const VideoSpec& spec = video.spec();
   VideoRunStats stats;
+  // Preallocated frame slots, written in place (see LiteReconfigProtocol).
+  stats.frames.resize(static_cast<size_t>(video.frame_count()));
   Pcg32 rng(HashKeys({spec.seed, env.run_salt, 0xa99de7ull}));
-  DetectionList anchor;
+  // The preheat probe's detections until the first GoF, then the last
+  // anchor's slot.
+  DetectionList probe_anchor;
+  const DetectionList* anchor = &probe_anchor;
   // Per-video calibration state (see LiteReconfigProtocol::RunVideo).
   double gpu_cal = 1.0;
   std::optional<size_t> current;
@@ -81,21 +86,42 @@ VideoRunStats ApproxDetProtocol::RunVideo(const SyntheticVideo& video,
     // Preheat pass (see LiteReconfigProtocol): ApproxDet is contention-aware
     // too, through the same observe-and-calibrate mechanism.
     DetectorConfig probe{320, 10};
-    anchor = DetectorSim::Detect(video, 0, probe, DetectorQuality{},
-                                 HashKeys({env.run_salt, 0xa94e47ull}));
+    probe_anchor = DetectorSim::Detect(video, 0, probe, DetectorQuality{},
+                                       HashKeys({env.run_salt, 0xa94e47ull}));
     double observed = env.platform->Sample(
         env.platform->DetectorMs(probe) * kKernelSlowdown, rng);
     LatencyModel profiled(models_->device, 0.0);
     gpu_cal = observed / (profiled.DetectorMs(probe) * kKernelSlowdown);
   }
+  TrackBatch arena;
+  GofExecutor exec(video, env.run_salt, *platform, rng);
+  exec.set_switching(env.switching, &stats.switch_count);
   int t = 0;
+  // A tracker-only GoF (tail continuation or coast) on `from`'s coast
+  // tracker, from the last emitted frame; every frame pays the framework
+  // overhead.
+  auto track_only_gof = [&](const Branch& from, int length, double penalty_ms,
+                            bool coasted) {
+    GofCost span = exec.TrackOnly(t, length, GofExecutor::CoastTracker(from),
+                                  stats.frames[t - 1], arena,
+                                  stats.frames.data() + t);
+    double len = static_cast<double>(span.frames);
+    double frame_ms =
+        (span.tracker_ms + penalty_ms) / len + kPerFrameOverheadMs;
+    stats.tracker_ms += span.tracker_ms;
+    stats.scheduler_ms += kPerFrameOverheadMs * len;
+    stats.gof_frame_ms.push_back(frame_ms);
+    stats.gof_lengths.push_back(span.frames);
+    faults.OnGofComplete(frame_ms, env.slo_ms, span.frames, coasted);
+    t += span.frames;
+  };
   while (t < video.frame_count()) {
     faults.BeginGof(t);
     if (faults.active()) {
       platform_local.set_contention_level(faults.ContentionAt(t));
       platform_local.set_thermal_scale(faults.ThermalAt(t));
     }
-    std::vector<double> light = ComputeLightFeatures(spec.width, spec.height, anchor);
+    std::vector<double> light = ComputeLightFeatures(spec.width, spec.height, *anchor);
     bool feasible = true;
     bool forecast_planned = false;
     // Same staged policy as LiteReconfig-Predictive: keep the reactive
@@ -122,97 +148,38 @@ VideoRunStats ApproxDetProtocol::RunVideo(const SyntheticVideo& video,
       choice = Decide(light, gpu_cal, /*cpu_cal=*/1.0, env.slo_ms,
                       video.frame_count() - t, &feasible);
     }
-    if (!feasible && current.has_value() && video.frame_count() - t <= 12 &&
-        !stats.frames.empty()) {
+    if (!feasible && current.has_value() &&
+        video.frame_count() - t <= kTailFrames && t > 0) {
       // Tail continuation (see LiteReconfigProtocol): ride out the last frames
       // on the tracker instead of paying an unamortizable detector pass.
-      const Branch& cur_branch = space.at(*current);
-      TrackerConfig tail_tracker = cur_branch.has_tracker
-                                       ? cur_branch.tracker
-                                       : TrackerConfig{TrackerType::kMedianFlow, 4};
-      const DetectionList& last_frame = stats.frames.back();
-      std::vector<DetectionList> tail = ExecutionKernel::TrackOnly(
-          video, t, video.frame_count() - t, tail_tracker, last_frame, env.run_salt);
-      if (tail.empty()) {
-        break;
-      }
-      int tracked = CountConfident(last_frame);
-      double track_total = 0.0;
-      for (size_t i = 0; i < tail.size(); ++i) {
-        track_total += platform->Sample(
-            platform->TrackerMs(tail_tracker, tracked), rng);
-      }
-      stats.tracker_ms += track_total;
-      stats.scheduler_ms += kPerFrameOverheadMs * static_cast<double>(tail.size());
-      double tail_frame_ms = track_total / static_cast<double>(tail.size()) +
-                             kPerFrameOverheadMs;
-      stats.gof_frame_ms.push_back(tail_frame_ms);
-      stats.gof_lengths.push_back(static_cast<int>(tail.size()));
-      faults.OnGofComplete(tail_frame_ms, env.slo_ms,
-                           static_cast<int>(tail.size()), /*coasted=*/false);
-      t += static_cast<int>(tail.size());
-      for (DetectionList& frame : tail) {
-        stats.frames.push_back(std::move(frame));
-      }
+      track_only_gof(space.at(*current), video.frame_count() - t, 0.0,
+                     /*coasted=*/false);
       continue;
     }
     const Branch& branch = space.at(choice);
     double det_mean = platform->DetectorMs(branch.detector) * kKernelSlowdown;
     FaultRuntime::DetectorOutcome outcome =
-        faults.ResolveDetector(t, det_mean, !stats.frames.empty());
+        faults.ResolveDetector(t, det_mean, t > 0);
     if (outcome.coast) {
       // Coast mode (see LiteReconfigProtocol): the detector is down, extend
       // tracking from the last emitted outputs.
       const Branch& coast_branch =
           current.has_value() ? space.at(*current) : branch;
-      TrackerConfig coast_tracker = coast_branch.has_tracker
-                                        ? coast_branch.tracker
-                                        : TrackerConfig{TrackerType::kMedianFlow, 4};
       int length = std::min(coast_branch.has_tracker ? coast_branch.gof : branch.gof,
                             video.frame_count() - t);
-      length = std::max(length, 1);
-      const DetectionList last_frame = stats.frames.back();
-      std::vector<DetectionList> coasted = ExecutionKernel::TrackOnly(
-          video, t, length, coast_tracker, last_frame, env.run_salt);
-      if (coasted.empty()) {
-        break;
-      }
-      int tracked = CountConfident(last_frame);
-      double track_total = 0.0;
-      for (size_t i = 0; i < coasted.size(); ++i) {
-        track_total += platform->Sample(
-            platform->TrackerMs(coast_tracker, tracked), rng);
-      }
-      double len = static_cast<double>(coasted.size());
-      double gof_frame =
-          (track_total + outcome.penalty_ms) / len + kPerFrameOverheadMs;
-      stats.tracker_ms += track_total;
-      stats.scheduler_ms += kPerFrameOverheadMs * len;
-      stats.gof_frame_ms.push_back(gof_frame);
-      stats.gof_lengths.push_back(static_cast<int>(len));
-      faults.OnGofComplete(gof_frame, env.slo_ms, static_cast<int>(len),
-                           /*coasted=*/true);
-      t += static_cast<int>(len);
-      for (DetectionList& frame : coasted) {
-        stats.frames.push_back(std::move(frame));
-      }
+      track_only_gof(coast_branch, std::max(length, 1), outcome.penalty_ms,
+                     /*coasted=*/true);
       continue;
     }
-    double switch_sample = 0.0;
-    if (current.has_value() && *current != choice) {
-      switch_sample = env.switching->OnlineCostMs(space.at(*current), branch,
-                                                  stats.switch_count, rng);
-      ++stats.switch_count;
-    }
-    GofResult gof = ExecutionKernel::RunGof(video, t, branch, env.run_salt);
-    if (gof.frames.empty()) {
-      break;
-    }
-    double det_nominal = platform->Sample(det_mean, rng);
-    double det_sample = det_nominal * outcome.outlier_scale;
+    const Branch* switch_from = current.has_value() && *current != choice
+                                    ? &space.at(*current)
+                                    : nullptr;
+    GofCost gof = exec.DetectGof(t, branch, branch.gof, switch_from, det_mean,
+                                 outcome.outlier_scale, arena,
+                                 stats.frames.data() + t);
     // Contention adaptation: calibrate against the zero-contention profile.
     // With degradation armed, outliers are discarded from calibration.
-    double cal_sample = env.degrade ? det_nominal : det_sample;
+    double cal_sample = env.degrade ? gof.detector_nominal_ms : gof.detector_ms;
     double profiled = models_->latency.DetectorMs(choice) * kKernelSlowdown;
     if (predictive && profiled > 0.0) {
       // Burst tracking on the detector's residual inflation (see
@@ -223,33 +190,22 @@ VideoRunStats ApproxDetProtocol::RunVideo(const SyntheticVideo& video,
       gpu_cal = (1.0 - kCalibrationEwma) * gpu_cal +
                 kCalibrationEwma * (cal_sample / profiled);
     }
-    double track_total = 0.0;
-    if (branch.has_tracker) {
-      int tracked = CountConfident(gof.anchor_detections);
-      for (size_t i = 1; i < gof.frames.size(); ++i) {
-        track_total += platform->Sample(
-            platform->TrackerMs(branch.tracker, tracked), rng);
-      }
-    }
-    double len = static_cast<double>(gof.frames.size());
-    stats.detector_ms += det_sample + outcome.penalty_ms;
-    stats.tracker_ms += track_total;
+    double len = static_cast<double>(gof.frames);
+    stats.detector_ms += gof.detector_ms + outcome.penalty_ms;
+    stats.tracker_ms += gof.tracker_ms;
     stats.scheduler_ms += kSchedulerMs + kPerFrameOverheadMs * len;
-    stats.switch_ms += switch_sample;
-    double gof_frame = (det_sample + track_total + kSchedulerMs + switch_sample +
-                        outcome.penalty_ms) /
+    stats.switch_ms += gof.switch_ms;
+    double gof_frame = (gof.detector_ms + gof.tracker_ms + kSchedulerMs +
+                        gof.switch_ms + outcome.penalty_ms) /
                            len +
                        kPerFrameOverheadMs;
     stats.gof_frame_ms.push_back(gof_frame);
-    stats.gof_lengths.push_back(static_cast<int>(len));
+    stats.gof_lengths.push_back(gof.frames);
     stats.branches_used.insert(branch.Id());
-    faults.OnGofComplete(gof_frame, env.slo_ms, static_cast<int>(len),
+    faults.OnGofComplete(gof_frame, env.slo_ms, gof.frames,
                          /*coasted=*/false, forecast_planned);
-    anchor = gof.anchor_detections;
-    for (DetectionList& frame : gof.frames) {
-      stats.frames.push_back(std::move(frame));
-    }
-    t += static_cast<int>(len);
+    anchor = stats.frames.data() + t;
+    t += gof.frames;
     current = choice;
   }
   stats.robustness = faults.TakeAccounting();

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/features/light.h"
+#include "src/platform/gof_exec.h"
 #include "src/util/rng.h"
 #include "src/util/strings.h"
 
@@ -149,6 +149,11 @@ VideoRunStats StaticKnobProtocol::RunVideo(const SyntheticVideo& video,
                       env.fault_seed, env.degrade,
                       env.platform->contention().level(),
                       1000.0 / video.spec().fps);
+  // Preallocated frame slots, written in place (see LiteReconfigProtocol).
+  stats.frames.resize(static_cast<size_t>(video.frame_count()));
+  TrackBatch arena;
+  GofExecutor exec(video, env.run_salt, *platform, rng);
+  exec.set_quality(quality);
   int t = 0;
   while (t < video.frame_count()) {
     faults.BeginGof(t);
@@ -158,62 +163,36 @@ VideoRunStats StaticKnobProtocol::RunVideo(const SyntheticVideo& video,
     }
     double det_mean =
         platform->GpuScaledMs(BaselineDetectorTx2Ms(family_, chosen_.shape));
-    FaultRuntime::DetectorOutcome outcome = faults.ResolveDetector(
-        t, det_mean, branch.has_tracker && !stats.frames.empty());
+    FaultRuntime::DetectorOutcome outcome =
+        faults.ResolveDetector(t, det_mean, branch.has_tracker && t > 0);
     if (outcome.coast) {
       // Coast mode: the detector is down, extend tracking from the last
       // emitted outputs for one GoF.
       int length = std::max(1, std::min(branch.gof, video.frame_count() - t));
-      const DetectionList last_frame = stats.frames.back();
-      std::vector<DetectionList> coasted = ExecutionKernel::TrackOnly(
-          video, t, length, branch.tracker, last_frame, env.run_salt);
-      if (coasted.empty()) {
-        break;
-      }
-      int tracked = CountConfident(last_frame);
-      double track_total = 0.0;
-      for (size_t i = 0; i < coasted.size(); ++i) {
-        track_total += platform->Sample(
-            platform->TrackerMs(branch.tracker, tracked), rng);
-      }
-      double len = static_cast<double>(coasted.size());
-      stats.tracker_ms += track_total;
-      stats.gof_frame_ms.push_back((track_total + outcome.penalty_ms) / len);
-      stats.gof_lengths.push_back(static_cast<int>(len));
-      faults.OnGofComplete((track_total + outcome.penalty_ms) / len, env.slo_ms,
-                           static_cast<int>(len), /*coasted=*/true);
-      t += static_cast<int>(len);
-      for (DetectionList& frame : coasted) {
-        stats.frames.push_back(std::move(frame));
-      }
+      GofCost coast = exec.TrackOnly(t, length, branch.tracker,
+                                     stats.frames[t - 1], arena,
+                                     stats.frames.data() + t);
+      double gof_frame = (coast.tracker_ms + outcome.penalty_ms) /
+                         static_cast<double>(coast.frames);
+      stats.tracker_ms += coast.tracker_ms;
+      stats.gof_frame_ms.push_back(gof_frame);
+      stats.gof_lengths.push_back(coast.frames);
+      faults.OnGofComplete(gof_frame, env.slo_ms, coast.frames,
+                           /*coasted=*/true);
+      t += coast.frames;
       continue;
     }
-    GofResult gof = ExecutionKernel::RunGof(video, t, branch, env.run_salt, quality);
-    if (gof.frames.empty()) {
-      break;
-    }
-    double det_sample = platform->Sample(det_mean, rng) * outcome.outlier_scale;
-    stats.detector_ms += det_sample + outcome.penalty_ms;
-    double track_total = 0.0;
-    if (branch.has_tracker) {
-      int tracked = CountConfident(gof.anchor_detections);
-      for (size_t i = 1; i < gof.frames.size(); ++i) {
-        double sample =
-            platform->Sample(platform->TrackerMs(branch.tracker, tracked), rng);
-        track_total += sample;
-      }
-    }
-    stats.tracker_ms += track_total;
-    double len = static_cast<double>(gof.frames.size());
-    double gof_frame = (det_sample + track_total + outcome.penalty_ms) / len;
+    GofCost gof = exec.DetectGof(t, branch, branch.gof, /*switch_from=*/nullptr,
+                                 det_mean, outcome.outlier_scale, arena,
+                                 stats.frames.data() + t);
+    stats.detector_ms += gof.detector_ms + outcome.penalty_ms;
+    stats.tracker_ms += gof.tracker_ms;
+    double gof_frame = (gof.detector_ms + gof.tracker_ms + outcome.penalty_ms) /
+                       static_cast<double>(gof.frames);
     stats.gof_frame_ms.push_back(gof_frame);
-    stats.gof_lengths.push_back(static_cast<int>(len));
-    faults.OnGofComplete(gof_frame, env.slo_ms, static_cast<int>(len),
-                         /*coasted=*/false);
-    for (DetectionList& frame : gof.frames) {
-      stats.frames.push_back(std::move(frame));
-    }
-    t += static_cast<int>(len);
+    stats.gof_lengths.push_back(gof.frames);
+    faults.OnGofComplete(gof_frame, env.slo_ms, gof.frames, /*coasted=*/false);
+    t += gof.frames;
   }
   stats.robustness = faults.TakeAccounting();
   return stats;

@@ -5,7 +5,7 @@
 #include <limits>
 
 #include "src/features/light.h"
-#include "src/mbek/kernel.h"
+#include "src/platform/gof_exec.h"
 #include "src/sched/contention_estimator.h"
 #include "src/sched/cost_table.h"
 #include "src/sched/drift.h"
@@ -17,11 +17,6 @@ namespace litereconfig {
 namespace {
 
 constexpr double kCalibrationEwma = 0.3;
-// When no branch fits the tail of a stream (too few frames left to amortize
-// another detector pass), ride it out on the tracker instead.
-constexpr int kTailFrames = 12;
-// Object count assumed when ranking branches for the watchdog fallback.
-constexpr int kFallbackObjectCount = 3;
 // Predictive robustness: the drift monitor runs per video stream (tens of
 // GoFs), so its window and bias threshold are sized well below the offline
 // defaults — a thermal ramp must be caught before the stream ends.
@@ -33,11 +28,6 @@ constexpr double kReanchoredHeavyBlend = 0.75;
 // Clamp on the drift-driven CPU recalibration multiplier.
 constexpr double kCpuCalFloor = 0.25;
 constexpr double kCpuCalCeil = 4.0;
-
-TrackerConfig CoastTracker(const Branch& branch) {
-  return branch.has_tracker ? branch.tracker
-                            : TrackerConfig{TrackerType::kMedianFlow, 4};
-}
 
 }  // namespace
 
@@ -94,8 +84,7 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
   const PhaseClockFn now = env.now_us;
   const double run_t0 = now != nullptr ? now() : 0.0;
   // Every frame slot is preallocated so GoF outputs are written in place.
-  // The invariant is that slots [0, t) hold the emitted frames; the final
-  // resize trims a fault-truncated run.
+  // The invariant is that slots [0, t) hold the emitted frames.
   stats.frames.resize(static_cast<size_t>(video.frame_count()));
   // The batched scheduler: one session per stream reuses the switch-cost row
   // and effective-GoF columns across consecutive GoFs. The serial reference
@@ -103,12 +92,11 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
   SchedulerSession session;
   SchedulerSession* const session_ptr = env.pipeline ? &session : nullptr;
   Pcg32 rng(HashKeys({video.spec().seed, env.run_salt, 0x117e2ull}));
-  DetectionList anchor;
-  // The last anchor's detections. The batched plan aims this at the anchor's
-  // stats.frames slot (stable storage: the vector is preallocated and never
-  // reallocates mid-run), eliding the per-GoF DetectionList copy the serial
-  // reference executor retains.
-  const DetectionList* anchor_ref = &anchor;
+  // The last anchor's detections: the preheat probe's until the first GoF,
+  // then the anchor's stats.frames slot (stable storage: the vector is
+  // preallocated and never reallocates mid-run).
+  DetectionList probe_anchor;
+  const DetectionList* anchor_ref = &probe_anchor;
   std::optional<size_t> current;
   // Online latency calibration (observed/profiled EWMA). Local to the video:
   // each stream re-measures contention during its own preheat, which keeps
@@ -170,37 +158,25 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
     // (a) measures the current GPU contention and (b) seeds the object
     // statistics the light features and tracker-cost predictions start from.
     DetectorConfig probe{320, 10};
-    anchor = DetectorSim::Detect(video, 0, probe, DetectorQuality{},
-                                 HashKeys({env.run_salt, 0x94e47ull}));
+    probe_anchor = DetectorSim::Detect(video, 0, probe, DetectorQuality{},
+                                       HashKeys({env.run_salt, 0x94e47ull}));
     double observed = env.platform->Sample(env.platform->DetectorMs(probe), rng);
     LatencyModel profiled(models_->device, 0.0);
     if (scheduler_.config().use_contention_calibration) {
       gpu_cal = observed / profiled.DetectorMs(probe);
     }
   }
-  // The batched plan's SoA track arena, reused by every tracker half of the
-  // stream: steady-state GoFs allocate no track state at all.
-  TrackBatch scratch;
-  // Tail/coast continuations go through the same executor split as the GoF
-  // tracker half: the batched path writes into the preallocated slots via the
-  // shared arena, the reference path keeps the allocating TrackOnly wrapper
-  // (value-identical).
-  auto track_only = [&](int start, int length, const TrackerConfig& tracker,
-                        const DetectionList& init) {
-    if (env.pipeline) {
-      return ExecutionKernel::TrackOnlyInto(video, start, length, tracker, init,
-                                            env.run_salt, scratch,
-                                            stats.frames.data() + start);
-    }
-    std::vector<DetectionList> frames = ExecutionKernel::TrackOnly(
-        video, start, length, tracker, init, env.run_salt);
-    for (size_t i = 0; i < frames.size(); ++i) {
-      stats.frames[static_cast<size_t>(start) + i] = std::move(frames[i]);
-    }
-    return static_cast<int>(frames.size());
-  };
+  // The batched plan's SoA track arena, reused by every GoF of the stream:
+  // steady-state GoFs allocate no track state at all.
+  TrackBatch stream_arena;
+  GofExecutor exec(video, env.run_salt, *platform, rng);
+  exec.set_switching(env.switching, &stats.switch_count);
+  exec.set_profile(now, &stats.phases.detect_us, &stats.phases.track_us);
   int t = 0;
   while (t < video.frame_count()) {
+    // The reference executor (pipeline off) tracks each GoF in a fresh arena.
+    TrackBatch gof_arena;
+    TrackBatch& arena = env.pipeline ? stream_arena : gof_arena;
     size_t begin_mark = faults.accounting().failures.size();
     faults.BeginGof(t);
     if (faults.active()) {
@@ -232,6 +208,12 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
     // runtime re-plans — and resumes GPU branches — the moment the GPU comes
     // back. Without a CPU family the only degradation left is coasting.
     bool denied = faults.active() && faults.GpuDeniedAt(t);
+    // With a CPU family, a denied GoF ends at the interval boundary, so the
+    // next decision lands exactly at the re-entry frame with the GPU back.
+    int denial_left = std::numeric_limits<int>::max();
+    if (denied && has_cpu_family) {
+      denial_left = faults.DenialEndAt(t) - t;
+    }
     SchedulerDecision decision;
     bool forecast_planned = false;
     bool replan_early = false;
@@ -263,19 +245,11 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
       ctx.anchor_detections = anchor_ref;
       ctx.current_branch = current;
       ctx.slo_ms = env.slo_ms;
-      ctx.frames_remaining = video.frame_count() - t;
+      // A denied plan is priced over the frames the CPU branch will run.
+      ctx.frames_remaining = std::min(video.frame_count() - t, denial_left);
       ctx.gpu_cal = gpu_cal;
       ctx.cpu_cal = cpu_cal;
-      if (denied && has_cpu_family) {
-        ctx.gpu_available = false;
-        // Clip the plan to the denial interval so the amortization is priced
-        // over the frames the CPU branch will actually run, and the next
-        // decision lands exactly at the re-entry frame.
-        int denial_left = faults.DenialEndAt(t) - t;
-        if (denial_left > 0) {
-          ctx.frames_remaining = std::min(ctx.frames_remaining, denial_left);
-        }
-      }
+      ctx.gpu_available = !(denied && has_cpu_family);
       if (predictive) {
         ctx.heavy_blend = heavy_blend;
         if (estimator.in_burst()) {
@@ -289,39 +263,33 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
       }
       decision = scheduler_.Decide(ctx, session_ptr);
     }
+    // A tracker-only GoF (tail continuation or coast) on `from`'s coast
+    // tracker, from the last emitted frame (slot t-1) into slots [t, ...).
+    auto track_only_gof = [&](const Branch& from, int length,
+                              double penalty_ms, bool coasted) {
+      GofCost span = exec.TrackOnly(t, length, GofExecutor::CoastTracker(from),
+                                    stats.frames[t - 1], arena,
+                                    stats.frames.data() + t);
+      double frame_ms =
+          (span.tracker_ms + penalty_ms) / static_cast<double>(span.frames);
+      stats.tracker_ms += span.tracker_ms;
+      stats.gof_frame_ms.push_back(frame_ms);
+      stats.gof_lengths.push_back(span.frames);
+      faults.OnGofComplete(frame_ms, env.slo_ms, span.frames, coasted);
+      if (coasted && denied) {
+        faults.RecordDeniedGof(/*cpu_fallback=*/false);
+      }
+      TraceFaults(faults, fault_mark, video.spec().seed);
+      t += span.frames;
+    };
     // Frames [0, t) are always emitted, so t > 0 means frames exist.
     bool have_frames = t > 0;
     if (decision.infeasible && current.has_value() &&
         video.frame_count() - t <= kTailFrames && have_frames) {
       // Tail continuation: no detector pass fits the remaining frames; keep
-      // tracking from the last emitted outputs, writing into the preallocated
-      // slots (the init frame is slot t-1, the outputs start at slot t — no
-      // overlap).
-      const Branch& cur_branch = space.at(*current);
-      TrackerConfig tail_tracker = CoastTracker(cur_branch);
-      const DetectionList& last_frame = stats.frames[t - 1];
-      int tail_len;
-      {
-        ScopedPhase track_phase(now, &stats.phases.track_us);
-        tail_len = track_only(t, video.frame_count() - t, tail_tracker, last_frame);
-      }
-      if (tail_len == 0) {
-        break;
-      }
-      int tracked = CountConfident(last_frame);
-      double track_total = 0.0;
-      for (int i = 0; i < tail_len; ++i) {
-        track_total += platform->Sample(
-            platform->TrackerMs(tail_tracker, tracked), rng);
-      }
-      stats.tracker_ms += track_total;
-      double tail_frame_ms = track_total / static_cast<double>(tail_len);
-      stats.gof_frame_ms.push_back(tail_frame_ms);
-      stats.gof_lengths.push_back(tail_len);
-      faults.OnGofComplete(tail_frame_ms, env.slo_ms, tail_len,
-                           /*coasted=*/false);
-      TraceFaults(faults, fault_mark, video.spec().seed);
-      t += tail_len;
+      // tracking to the end of the stream.
+      track_only_gof(space.at(*current), video.frame_count() - t, 0.0,
+                     /*coasted=*/false);
       continue;
     }
     const Branch& branch = space.at(decision.branch_index);
@@ -347,76 +315,31 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
       // tracking from the last emitted outputs and mark the frames degraded.
       const Branch& coast_branch =
           current.has_value() ? space.at(*current) : branch;
-      TrackerConfig coast_tracker = CoastTracker(coast_branch);
-      int length = std::min(coast_branch.has_tracker ? coast_branch.gof : branch.gof,
-                            video.frame_count() - t);
-      if (denied && has_cpu_family) {
-        // Coasting a denial tail must stop at the interval boundary so the
-        // re-entry decision runs with the GPU back.
-        int denial_left = faults.DenialEndAt(t) - t;
-        if (denial_left > 0) {
-          length = std::min(length, denial_left);
-        }
-      }
-      length = std::max(length, 1);
-      const DetectionList& last_frame = stats.frames[t - 1];
-      int coast_len;
-      {
-        ScopedPhase track_phase(now, &stats.phases.track_us);
-        coast_len = track_only(t, length, coast_tracker, last_frame);
-      }
-      if (coast_len == 0) {
-        break;
-      }
-      int tracked = CountConfident(last_frame);
-      double track_total = 0.0;
-      for (int i = 0; i < coast_len; ++i) {
-        track_total += platform->Sample(
-            platform->TrackerMs(coast_tracker, tracked), rng);
-      }
-      double len = static_cast<double>(coast_len);
-      double gof_total = track_total + outcome.penalty_ms;
-      stats.tracker_ms += track_total;
-      stats.gof_frame_ms.push_back(gof_total / len);
-      stats.gof_lengths.push_back(coast_len);
-      faults.OnGofComplete(gof_total / len, env.slo_ms, coast_len,
-                           /*coasted=*/true);
-      if (denied) {
-        faults.RecordDeniedGof(/*cpu_fallback=*/false);
-      }
-      TraceFaults(faults, fault_mark, video.spec().seed);
-      t += coast_len;
+      // Coasting a denial tail stops at the interval boundary so the
+      // re-entry decision runs with the GPU back.
+      int length =
+          std::min({coast_branch.has_tracker ? coast_branch.gof : branch.gof,
+                    video.frame_count() - t, denial_left});
+      track_only_gof(coast_branch, std::max(length, 1), outcome.penalty_ms,
+                     /*coasted=*/true);
       continue;
     }
 
-    double switch_sample = 0.0;
-    if (current.has_value() && *current != decision.branch_index) {
-      switch_sample = env.switching->OnlineCostMs(space.at(*current), branch,
-                                                  stats.switch_count, rng);
-      ++stats.switch_count;
-    }
-    // The anchor half of the GoF runs now (the decision and latency accounting
-    // below need only the anchor detections and the frame count); the tracker
-    // half runs once the accounting is done.
-    int length = std::min(branch.gof, video.frame_count() - t);
-    if (denied && has_cpu_family) {
-      // Run the CPU family only as long as the denial holds: the GoF ends at
-      // the interval boundary so the next decision re-plans with the GPU back.
-      int denial_left = faults.DenialEndAt(t) - t;
-      if (denial_left > 0) {
-        length = std::min(length, denial_left);
-      }
-    }
-    if (length <= 0) {
-      break;
-    }
-    DetectionList anchor_dets;
-    {
-      ScopedPhase detect_phase(now, &stats.phases.detect_us);
-      anchor_dets = ExecutionKernel::DetectAnchor(video, t, branch, env.run_salt);
-    }
-    double det_nominal = platform->Sample(platform->DetectorMs(branch.detector), rng);
-    double det_sample = det_nominal * outcome.outlier_scale;
+    // The detector GoF: a denied CPU-family GoF stops at the interval
+    // boundary, and the anchor plus tracked frames land in their slots.
+    const Branch* switch_from =
+        current.has_value() && *current != decision.branch_index
+            ? &space.at(*current)
+            : nullptr;
+    GofCost gof = exec.DetectGof(t, branch, denial_left, switch_from,
+                                 platform->DetectorMs(branch.detector),
+                                 outcome.outlier_scale, arena,
+                                 stats.frames.data() + t);
+    ++stats.phases.gofs;
+    const DetectionList& anchor_dets = stats.frames[t];
+    double switch_sample = gof.switch_ms;
+    double det_nominal = gof.detector_nominal_ms;
+    double det_sample = gof.detector_ms;
     // Online contention calibration against the zero-contention profile. With
     // the watchdog armed, a one-off outlier is discarded from calibration so a
     // single stall cannot poison the latency predictions.
@@ -439,27 +362,17 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
       gpu_cal = (1.0 - kCalibrationEwma) * gpu_cal +
                 kCalibrationEwma * (cal_sample / profiled);
     }
-    double track_total = 0.0;
-    if (branch.has_tracker) {
-      // The latency model charges per tracked object and per frame; neither
-      // depends on the simulated tracker outputs, so the samples draw from the
-      // RNG before the tracker frames are simulated.
-      int tracked = CountConfident(anchor_dets);
-      for (int i = 1; i < length; ++i) {
-        track_total += platform->Sample(
-            platform->TrackerMs(branch.tracker, tracked), rng);
-      }
-      if (predictive && length > 1) {
-        double profiled_track =
-            profiled_platform.TrackerMs(branch.tracker, tracked) *
-            static_cast<double>(length - 1);
-        if (profiled_track > 0.0) {
-          cpu_ratio = (1.0 - kCalibrationEwma) * cpu_ratio +
-                      kCalibrationEwma * (track_total / profiled_track);
-        }
+    double track_total = gof.tracker_ms;
+    if (predictive && branch.has_tracker && gof.frames > 1) {
+      double profiled_track =
+          profiled_platform.TrackerMs(branch.tracker, CountConfident(anchor_dets)) *
+          static_cast<double>(gof.frames - 1);
+      if (profiled_track > 0.0) {
+        cpu_ratio = (1.0 - kCalibrationEwma) * cpu_ratio +
+                    kCalibrationEwma * (track_total / profiled_track);
       }
     }
-    double len = static_cast<double>(length);
+    double len = static_cast<double>(gof.frames);
     stats.detector_ms += det_sample + outcome.penalty_ms;
     stats.tracker_ms += track_total;
     stats.scheduler_ms += decision.scheduler_cost_ms;
@@ -577,47 +490,10 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
         }
       }
     }
-    // The tracker half of this GoF: the anchor lands in its slot and the
-    // tracked frames follow it in place. The batched plan re-aims anchor_ref
-    // at the slot (same bytes, no copy); the reference executor keeps the
-    // per-GoF copy.
-    if (env.pipeline) {
-      anchor_ref = stats.frames.data() + t;
-    } else {
-      anchor = anchor_dets;
-    }
-    stats.frames[t] = std::move(anchor_dets);
-    // The tracker half must stop where the latency accounting stopped: a
-    // denial-clipped GoF ends at the interval boundary, not at branch.gof
-    // (TrackRemainder derives its span from the branch's own GoF length).
-    Branch tracked_branch = branch;
-    tracked_branch.gof = length;
-    const DetectionList& gof_anchor = stats.frames[t];
-    DetectionList* tracked_out = stats.frames.data() + t + 1;
-    ++stats.phases.gofs;
-    {
-      ScopedPhase track_phase(now, &stats.phases.track_us);
-      if (env.pipeline) {
-        ExecutionKernel::TrackRemainderInto(video, t, tracked_branch, gof_anchor,
-                                            env.run_salt, scratch, tracked_out);
-      } else {
-        // Reference executor: the seed's allocating wrapper — a fresh track
-        // arena and a per-GoF vector of frames, moved into the slots
-        // afterwards. Value-identical to the arena form (KernelTest pins it);
-        // kept as the pipeline=false baseline the same way DecideReference is
-        // kept for the scheduler.
-        std::vector<DetectionList> frames = ExecutionKernel::TrackRemainder(
-            video, t, tracked_branch, gof_anchor, env.run_salt);
-        for (size_t i = 0; i < frames.size(); ++i) {
-          tracked_out[i] = std::move(frames[i]);
-        }
-      }
-    }
+    anchor_ref = &anchor_dets;
     t += static_cast<int>(len);
     current = decision.branch_index;
   }
-  // Trim a fault-truncated run back to the frames actually emitted.
-  stats.frames.resize(static_cast<size_t>(t));
   const SchedulerSession::Counters& reuse = session.counters();
   stats.phases.decisions += reuse.decisions;
   stats.phases.decision_reuses += reuse.decision_reuses;

@@ -21,17 +21,11 @@
 #include "src/platform/faults.h"
 #include "src/platform/latency.h"
 #include "src/platform/switching.h"
+#include "src/util/phase_clock.h"
 #include "src/video/synthetic_video.h"
 #include "src/vision/box.h"
 
 namespace litereconfig {
-
-// Wall-clock callback for the optional per-phase execution profile, returning
-// monotonic microseconds. src/ never reads host clocks itself (the simulated
-// LatencyModel clock is the only time source that may feed results; detlint
-// enforces it), so profiling is injection-only: the bench harness supplies a
-// WallTimer-backed callback, everything else leaves it null and pays nothing.
-using PhaseClockFn = double (*)();
 
 // Where the end-to-end wall time of a run goes, phase by phase. Microsecond
 // fields are only accumulated when a PhaseClockFn was injected; the counters
@@ -70,26 +64,6 @@ struct PhaseProfile {
   }
 };
 
-// Accumulates wall time into one PhaseProfile field while in scope; inert
-// (never reads the clock) when no clock was injected.
-class ScopedPhase {
- public:
-  ScopedPhase(PhaseClockFn now, double* acc)
-      : now_(now), acc_(acc), start_(now != nullptr ? now() : 0.0) {}
-  ~ScopedPhase() {
-    if (now_ != nullptr) {
-      *acc_ += now_() - start_;
-    }
-  }
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  PhaseClockFn now_;
-  double* acc_;
-  double start_;
-};
-
 struct RunEnv {
   // Ground-truth platform: the simulated device under the current contention.
   const LatencyModel* platform = nullptr;
@@ -113,11 +87,11 @@ struct RunEnv {
   // The batched execution plan. Protocols that support it (a) reuse the
   // switch-cost row and effective-GoF columns of the cost table across
   // consecutive GoF decisions of the same stream (SchedulerSession), and
-  // (b) track each GoF into its preallocated frame slots through a reused
-  // scratch arena (ExecutionKernel::TrackRemainderInto). Off is the serial
-  // reference executor — fresh tables every decision, the allocating
-  // TrackRemainder wrapper. Results are bit-identical either way — the flag
-  // exists for the perf harness and for the identity tests that prove it.
+  // (b) hand the GoF executor one track arena reused by every GoF of the
+  // stream. Off is the serial reference executor — fresh tables every
+  // decision, a fresh track arena every GoF. Results are bit-identical
+  // either way — the flag exists for the perf harness and for the identity
+  // tests that prove it.
   bool pipeline = true;
   // Optional per-phase profiling clock; null (the default) disables timing.
   PhaseClockFn now_us = nullptr;

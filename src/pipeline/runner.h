@@ -34,7 +34,7 @@ struct EvalConfig {
   // recalibration); only meaningful with faults injected and degrade on.
   bool predictive = false;
   // The batched execution plan (scheduler-session reuse across GoFs plus
-  // arena-backed tracker halves; see RunEnv::pipeline). Bit-identical
+  // one reused track arena per stream; see RunEnv::pipeline). Bit-identical
   // results either way; off is the serial reference executor the perf harness
   // compares against.
   bool pipeline = true;

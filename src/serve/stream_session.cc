@@ -5,23 +5,11 @@
 
 #include "src/det/detector.h"
 #include "src/features/light.h"
-#include "src/mbek/kernel.h"
 #include "src/sched/cost_table.h"
 
 namespace litereconfig {
 
 namespace {
-
-// Same tail threshold / fallback object count as the single-tenant protocol
-// (src/pipeline/litereconfig_protocol.cc): the serving loop degrades the same
-// way, it just gets its contention from the ledger instead of a generator.
-constexpr int kTailFrames = 12;
-constexpr int kFallbackObjectCount = 3;
-
-TrackerConfig CoastTracker(const Branch& branch) {
-  return branch.has_tracker ? branch.tracker
-                            : TrackerConfig{TrackerType::kMedianFlow, 4};
-}
 
 // Builds the session's fault runtime: only the spec's stateless point faults
 // are materialized here (device-wide intervals live in the service's shared
@@ -128,9 +116,9 @@ double StreamSession::CheapestFrameMs(double level, double thermal_scale,
 }
 
 double StreamSession::CoastFrameMs(double thermal_scale) const {
-  TrackerConfig tracker = current_.has_value()
-                              ? CoastTracker(models_->space->at(*current_))
-                              : TrackerConfig{TrackerType::kMedianFlow, 4};
+  // Before the first GoF there is no branch: price a detector-only one's.
+  TrackerConfig tracker = GofExecutor::CoastTracker(
+      current_.has_value() ? models_->space->at(*current_) : Branch{});
   LatencyModel probe(models_->device, 0.0);
   probe.set_thermal_scale(thermal_scale);
   return probe.TrackerMs(tracker, std::max(CountConfident(last_frame_), 1));
@@ -150,42 +138,36 @@ void StreamSession::RecordEviction() {
   faults_.RecordServiceFault(FailureKind::kEvicted, t_, /*recovered=*/false);
 }
 
-void StreamSession::EmitFrames(std::vector<DetectionList> frames) {
-  if (!frames.empty()) {
-    last_frame_ = frames.back();
+DetectionList* StreamSession::Slots(int count) {
+  if (frames_.size() < static_cast<size_t>(count)) {
+    frames_.resize(static_cast<size_t>(count));
   }
-  for (DetectionList& frame : frames) {
-    eval_.AddFrame(video_.frame(t_).VisibleGroundTruth(), frame);
+  return frames_.data();
+}
+
+void StreamSession::EmitFrames(int count) {
+  last_frame_ = frames_[static_cast<size_t>(count - 1)];
+  for (int i = 0; i < count; ++i) {
+    eval_.AddFrame(video_.frame(t_).VisibleGroundTruth(),
+                   frames_[static_cast<size_t>(i)]);
     ++t_;
   }
 }
 
-void StreamSession::CoastGof(GofReport& report, double penalty_ms) {
-  const Branch& coast_branch = models_->space->at(*current_);
-  TrackerConfig coast_tracker = CoastTracker(coast_branch);
-  int length = std::min(std::max(coast_branch.gof, 1),
-                        video_.frame_count() - t_);
-  std::vector<DetectionList> coasted = ExecutionKernel::TrackOnly(
-      video_, t_, length, coast_tracker, last_frame_, request_.video.seed);
-  if (coasted.empty()) {
-    report.done = true;
-    t_ = video_.frame_count();
-    return;
-  }
-  int tracked = CountConfident(last_frame_);
-  double track_total = 0.0;
-  for (size_t i = 0; i < coasted.size(); ++i) {
-    track_total += platform_.Sample(
-        platform_.TrackerMs(coast_tracker, tracked), rng_);
-  }
-  double len = static_cast<double>(coasted.size());
+void StreamSession::TrackOnlyGof(const GofExecutor& exec, int length,
+                                 double penalty_ms, GofReport& report) {
+  TrackerConfig tracker =
+      GofExecutor::CoastTracker(models_->space->at(*current_));
+  GofCost cost = exec.TrackOnly(t_, length, tracker, last_frame_, arena_,
+                                Slots(length));
+  double len = static_cast<double>(cost.frames);
   report.branch = *current_;
-  report.gof_length = static_cast<int>(len);
-  report.frame_ms = (track_total + penalty_ms) / len;
+  report.gof_length = cost.frames;
+  report.frame_ms = (cost.tracker_ms + penalty_ms) / len;
   report.gpu_share = 0.0;  // no detector invocation: the GPU is free
   report.missed = report.frame_ms > request_.slo_ms;
-  anchor_ = coasted.back();
-  EmitFrames(std::move(coasted));
+  anchor_ = frames_[static_cast<size_t>(cost.frames - 1)];
+  EmitFrames(cost.frames);
 }
 
 void StreamSession::FinishGof(GofReport& report, size_t fault_mark,
@@ -255,35 +237,27 @@ GofReport StreamSession::StepGof(const StepConditions& conditions) {
     preheated_ = true;
   }
 
-  if (conditions.coast && CanCoast()) {
-    // The pressure ladder shed this stream's detector load for the round:
-    // tracker-only GoF on the current branch, no scheduler pass.
-    report.frame = t_;
-    ++coasted_rounds_;
-    CoastGof(report, 0.0);
-    if (report.done && report.gof_length == 0) {
-      return report;  // nothing trackable remained
-    }
+  GofExecutor exec(video_, request_.video.seed, platform_, rng_);
+  exec.set_switching(switching_, &switch_count_);
+  report.frame = t_;
+  // A coasted round: tracker-only for one GoF of the current branch.
+  auto coast_round = [&](double penalty_ms) {
+    int length = std::min(std::max(space.at(*current_).gof, 1),
+                          video_.frame_count() - t_);
+    TrackOnlyGof(exec, length, penalty_ms, report);
     FinishGof(report, fault_mark, /*coasted=*/true);
     if (device_denied) {
       faults_.RecordDeniedGof(/*cpu_fallback=*/false);
     }
-    return report;
-  }
-
-  if (denied && !has_cpu_family_ && CanCoast()) {
-    // Device-wide denial and no CPU family in the space: nothing is
-    // schedulable, so the only degradation left is tracker-only coasting —
-    // the pre-CPU-family behaviour.
-    report.frame = t_;
-    CoastGof(report, 0.0);
-    if (report.done && report.gof_length == 0) {
-      return report;
+  };
+  // Rounds with no scheduler pass: the pressure ladder shed this stream's
+  // detector load, or a device-wide denial with no CPU family in the space
+  // left nothing schedulable (the pre-CPU-family behaviour).
+  if ((conditions.coast || (denied && !has_cpu_family_)) && CanCoast()) {
+    if (conditions.coast) {
+      ++coasted_rounds_;
     }
-    FinishGof(report, fault_mark, /*coasted=*/true);
-    if (device_denied) {
-      faults_.RecordDeniedGof(/*cpu_fallback=*/false);
-    }
+    coast_round(0.0);
     return report;
   }
   // Mask GPU branches only when the demotion target exists; a stream with no
@@ -317,98 +291,51 @@ GofReport StreamSession::StepGof(const StepConditions& conditions) {
     ctx.gpu_available = !mask_gpu;
     decision = scheduler_.Decide(ctx);
   }
-  report.frame = t_;
   report.infeasible = decision.infeasible;
   if (decision.infeasible) {
     ++infeasible_gofs_;
   }
 
-  // detlint: stream-stable(the decision trace is a pure function of seeds+config and rng_ is session-private, stepped serially per GoF, so the tail branch replays identical draw counts)
   if (decision.infeasible && current_.has_value() &&
       video_.frame_count() - t_ <= kTailFrames && t_ > 0) {
     // Tail continuation: too few frames remain to amortize another detector
-    // pass; coast on the tracker from the last emitted anchor.
-    const Branch& cur_branch = space.at(*current_);
-    TrackerConfig tail_tracker = CoastTracker(cur_branch);
-    std::vector<DetectionList> tail = ExecutionKernel::TrackOnly(
-        video_, t_, video_.frame_count() - t_, tail_tracker, last_frame_,
-        request_.video.seed);
-    if (tail.empty()) {
-      report.done = true;
-      t_ = video_.frame_count();
-      return report;
-    }
-    int tracked = CountConfident(last_frame_);
-    double track_total = 0.0;
-    for (size_t i = 0; i < tail.size(); ++i) {
-      track_total += platform_.Sample(
-          platform_.TrackerMs(tail_tracker, tracked), rng_);
-    }
-    double len = static_cast<double>(tail.size());
-    report.branch = *current_;
-    report.gof_length = static_cast<int>(len);
-    report.frame_ms = track_total / len;
+    // pass; coast on the tracker from the last emitted frame.
     report.tail = true;
-    report.gpu_share = 0.0;  // no detector invocation: the GPU is free
-    report.missed = report.frame_ms > request_.slo_ms;
-    anchor_ = tail.back();
-    EmitFrames(std::move(tail));
-  } else {  // detlint: stream-stable(branch choice, switch decision, and tracker use all derive from the deterministic per-session trace; rng_ never crosses sessions or threads)
+    TrackOnlyGof(exec, video_.frame_count() - t_, 0.0, report);
+  } else {
     const Branch& branch = space.at(decision.branch_index);
     // Resolve the GoF's detector invocation against the fault plan before
     // committing to a switch: a coasted GoF stays on the current branch.
-    FaultRuntime::DetectorOutcome outcome = faults_.ResolveDetector(
-        t_, platform_.DetectorMs(branch.detector), CanCoast());
+    double detector_mean_ms = platform_.DetectorMs(branch.detector);
+    FaultRuntime::DetectorOutcome outcome =
+        faults_.ResolveDetector(t_, detector_mean_ms, CanCoast());
     if (outcome.coast) {
       // Coast mode: the detector is down (or the capture dropped); extend
       // tracking from the last emitted outputs and mark the frames degraded.
-      CoastGof(report, outcome.penalty_ms);
-      if (report.done && report.gof_length == 0) {
-        return report;
-      }
-      FinishGof(report, fault_mark, /*coasted=*/true);
-      if (device_denied) {
-        faults_.RecordDeniedGof(/*cpu_fallback=*/false);
-      }
+      coast_round(outcome.penalty_ms);
       return report;
     }
-    double switch_sample = 0.0;
-    if (current_.has_value() && *current_ != decision.branch_index) {
-      switch_sample = switching_->OnlineCostMs(space.at(*current_), branch,
-                                               switch_count_, rng_);
-      ++switch_count_;
-      report.switched = true;
-    }
-    int length = std::min(branch.gof, video_.frame_count() - t_);
-    length = std::max(length, 1);
-    DetectionList anchor_dets =
-        ExecutionKernel::DetectAnchor(video_, t_, branch, request_.video.seed);
-    double det_sample =
-        platform_.Sample(platform_.DetectorMs(branch.detector), rng_) *
-        outcome.outlier_scale;
-    double track_total = 0.0;
-    std::vector<DetectionList> tracked_frames;
-    if (branch.has_tracker && length > 1) {
-      tracked_frames = ExecutionKernel::TrackRemainder(
-          video_, t_, branch, anchor_dets, request_.video.seed);
-      int tracked = CountConfident(anchor_dets);
-      for (size_t i = 0; i < tracked_frames.size(); ++i) {
-        track_total += platform_.Sample(
-            platform_.TrackerMs(branch.tracker, tracked), rng_);
-      }
-    }
-    double len = static_cast<double>(1 + tracked_frames.size());
+    const Branch* switch_from =
+        current_.has_value() && *current_ != decision.branch_index
+            ? &space.at(*current_)
+            : nullptr;
+    int length = std::max(std::min(branch.gof, video_.frame_count() - t_), 1);
+    GofCost gof = exec.DetectGof(t_, branch, length, switch_from,
+                                 detector_mean_ms, outcome.outlier_scale,
+                                 arena_, Slots(length));
+    double len = static_cast<double>(gof.frames);
     double gof_total =
-        det_sample + track_total + switch_sample + outcome.penalty_ms;
+        gof.detector_ms + gof.tracker_ms + gof.switch_ms + outcome.penalty_ms;
     if (scheduler_.config().charge_feature_overhead) {
       gof_total += decision.scheduler_cost_ms;
     }
     report.branch = decision.branch_index;
     report.cpu_fallback = branch.detector.cpu;
-    report.gof_length = static_cast<int>(len);
+    report.switched = switch_from != nullptr;
+    report.gof_length = gof.frames;
     report.frame_ms = gof_total / len;
     report.scheduler_ms = decision.scheduler_cost_ms;
-    report.switch_ms = switch_sample;
+    report.switch_ms = gof.switch_ms;
     report.predicted_accuracy = decision.predicted_accuracy;
     report.predicted_frame_ms = decision.predicted_frame_ms;
     report.missed = report.frame_ms > request_.slo_ms;
@@ -422,14 +349,8 @@ GofReport StreamSession::StepGof(const StepConditions& conditions) {
             : std::clamp(models_->latency.DetectorMs(decision.branch_index) /
                              (len * FrameIntervalMs()),
                          0.0, 1.0);
-    anchor_ = anchor_dets;
-    std::vector<DetectionList> emitted;
-    emitted.reserve(tracked_frames.size() + 1);
-    emitted.push_back(std::move(anchor_dets));
-    for (DetectionList& frame : tracked_frames) {
-      emitted.push_back(std::move(frame));
-    }
-    EmitFrames(std::move(emitted));
+    anchor_ = frames_[0];
+    EmitFrames(gof.frames);
     current_ = decision.branch_index;
   }
 

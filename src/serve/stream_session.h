@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/platform/faults.h"
+#include "src/platform/gof_exec.h"
 #include "src/platform/latency.h"
 #include "src/platform/switching.h"
 #include "src/sched/branch_menu.h"
@@ -143,12 +144,6 @@ class StreamSession {
   // Advances the stream by one GoF under the frozen device conditions.
   // Touches only session-local state.
   GofReport StepGof(const StepConditions& conditions);
-  GofReport StepGof(double level, double budget_ms) {
-    StepConditions conditions;
-    conditions.level = level;
-    conditions.budget_ms = budget_ms;
-    return StepGof(conditions);
-  }
 
   // SLO renegotiation: the control plane demotes the stream one class under
   // sustained pressure and restores it when pressure clears. The effective
@@ -184,11 +179,16 @@ class StreamSession {
   // contention on this same device, so observed/profiled is exactly the
   // contention inflation — no measurement loop needed in serving mode.
   static double AnalyticGpuCal(double level);
-  // Emits `frames` into the stream output and the AP accumulation.
-  void EmitFrames(std::vector<DetectionList> frames);
-  // Tracker-only GoF from the last emitted frame (coast and control-plane
-  // shed paths); `penalty_ms` is charged on top of the tracker time.
-  void CoastGof(GofReport& report, double penalty_ms);
+  // The frame buffer's first `count` slots, grown on demand.
+  DetectionList* Slots(int count);
+  // Emits frame buffer slots [0, count) into the stream output and the AP
+  // accumulation.
+  void EmitFrames(int count);
+  // Tracker-only GoF of `length` frames from the last emitted frame (tail,
+  // coast and control-plane shed paths); `penalty_ms` is charged on top of
+  // the tracker time.
+  void TrackOnlyGof(const GofExecutor& exec, int length, double penalty_ms,
+                    GofReport& report);
   // Watchdog + recovery bookkeeping shared by every StepGof exit path.
   void FinishGof(GofReport& report, size_t fault_mark, bool coasted);
 
@@ -210,6 +210,10 @@ class StreamSession {
   // matching the single-tenant protocol's coast semantics).
   DetectionList last_frame_;
   std::optional<size_t> current_;
+  // The executor's track arena and frame buffer, reused by every GoF: a
+  // steady-state GoF allocates no track state and no frame vector.
+  TrackBatch arena_;
+  std::vector<DetectionList> frames_;
   int t_ = 0;
   bool preheated_ = false;
   bool has_cpu_family_ = false;

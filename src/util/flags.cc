@@ -1,9 +1,33 @@
 #include "src/util/flags.h"
 
 #include <cassert>
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
+#include <iostream>
 
 namespace litereconfig {
+
+namespace {
+
+[[noreturn]] void RejectValue(const std::string& name, const std::string& value,
+                              const char* problem) {
+  std::cerr << "error: --" << name << ": '" << value << "' is " << problem
+            << "\n";
+  std::exit(2);
+}
+
+// strtod/strtol skip leading whitespace and accept a numeric prefix; a flag
+// value must be the number and nothing else.
+bool WholeNumber(const std::string& value, const char* end) {
+  return !value.empty() &&
+         std::isspace(static_cast<unsigned char>(value[0])) == 0 &&
+         end == value.c_str() + value.size();
+}
+
+}  // namespace
 
 FlagSet::FlagSet(std::string description) : description_(std::move(description)) {}
 
@@ -64,11 +88,38 @@ std::string FlagSet::GetString(const std::string& name) const {
 }
 
 double FlagSet::GetDouble(const std::string& name) const {
-  return std::strtod(GetString(name).c_str(), nullptr);
+  std::string value = GetString(name);
+  char* end = nullptr;
+  double parsed = std::strtod(value.c_str(), &end);
+  if (!WholeNumber(value, end)) {
+    RejectValue(name, value, "not a number");
+  }
+  if (!std::isfinite(parsed)) {
+    RejectValue(name, value, "not a finite number");
+  }
+  return parsed;
 }
 
 int FlagSet::GetInt(const std::string& name) const {
-  return static_cast<int>(std::strtol(GetString(name).c_str(), nullptr, 10));
+  std::string value = GetString(name);
+  char* end = nullptr;
+  errno = 0;
+  long parsed = std::strtol(value.c_str(), &end, 10);
+  if (!WholeNumber(value, end)) {
+    RejectValue(name, value, "not an integer");
+  }
+  if (errno == ERANGE || parsed < INT_MIN || parsed > INT_MAX) {
+    RejectValue(name, value, "out of int range");
+  }
+  return static_cast<int>(parsed);
+}
+
+int FlagSet::GetCount(const std::string& name) const {
+  int parsed = GetInt(name);
+  if (parsed < 0) {
+    RejectValue(name, GetString(name), "negative");
+  }
+  return parsed;
 }
 
 bool FlagSet::GetBool(const std::string& name) const {

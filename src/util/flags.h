@@ -33,8 +33,13 @@ class FlagSet {
   const std::string& error() const { return error_; }
 
   std::string GetString(const std::string& name) const;
+  // The numeric getters are strict: an empty, non-numeric or
+  // trailing-garbage value, a non-finite double or an int out of range
+  // prints "error: --<name>: ..." to stderr and exits with status 2.
   double GetDouble(const std::string& name) const;
   int GetInt(const std::string& name) const;
+  // GetInt that also rejects negative values (counts, sizes, threads).
+  int GetCount(const std::string& name) const;
   bool GetBool(const std::string& name) const;
   // Whether the flag was explicitly set on the command line.
   bool IsSet(const std::string& name) const;

@@ -92,6 +92,55 @@ TEST(FlagSetTest, PrintHelpListsFlags) {
   EXPECT_NE(os.str().find("target device"), std::string::npos);
 }
 
+// A FlagSet whose flag "v" holds `value` as if passed on the command line.
+FlagSet FlagWithValue(const char* value) {
+  FlagSet flags("test");
+  flags.Define("v", "0", "value under test");
+  std::string arg = std::string("--v=") + value;
+  auto argv = Argv({arg.c_str()});
+  EXPECT_TRUE(flags.Parse(static_cast<int>(argv.size()), argv.data()));
+  return flags;
+}
+
+TEST(FlagSetTest, NumericGettersAcceptWellFormedValues) {
+  EXPECT_DOUBLE_EQ(FlagWithValue("33.3").GetDouble("v"), 33.3);
+  EXPECT_DOUBLE_EQ(FlagWithValue("1e2").GetDouble("v"), 100.0);
+  EXPECT_DOUBLE_EQ(FlagWithValue("-0.5").GetDouble("v"), -0.5);
+  EXPECT_EQ(FlagWithValue("42").GetInt("v"), 42);
+  EXPECT_EQ(FlagWithValue("-7").GetInt("v"), -7);
+  EXPECT_EQ(FlagWithValue("0").GetCount("v"), 0);
+  EXPECT_EQ(FlagWithValue("16").GetCount("v"), 16);
+}
+
+// Malformed numbers used to parse as 0 (--lat_req=abc ran with a 0 ms SLO);
+// they now exit 2 with a message naming the flag.
+TEST(FlagSetTest, MalformedDoubleExitsNamingTheFlag) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* bad : {"", "abc", "33.3ms", " 5", "nan", "inf", "1e999"}) {
+    EXPECT_EXIT(FlagWithValue(bad).GetDouble("v"), ::testing::ExitedWithCode(2),
+                "--v")
+        << "value '" << bad << "'";
+  }
+}
+
+TEST(FlagSetTest, MalformedIntExitsNamingTheFlag) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* bad :
+       {"", "abc", "4x", "1.5", "0x10", "99999999999", "-99999999999"}) {
+    EXPECT_EXIT(FlagWithValue(bad).GetInt("v"), ::testing::ExitedWithCode(2),
+                "--v")
+        << "value '" << bad << "'";
+  }
+}
+
+TEST(FlagSetTest, NegativeCountExitsNamingTheFlag) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(FlagWithValue("-1").GetCount("v"), ::testing::ExitedWithCode(2),
+              "--v.*negative");
+  EXPECT_EXIT(FlagWithValue("two").GetCount("v"), ::testing::ExitedWithCode(2),
+              "--v");
+}
+
 DecisionRecord SampleRecord() {
   DecisionRecord record;
   record.video_seed = 12345;

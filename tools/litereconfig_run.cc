@@ -63,14 +63,53 @@ int Run(int argc, char** argv) {
     return flags.help_requested() ? 0 : 1;
   }
 
+  // Every flag is validated before the (possibly slow, first-run training)
+  // workbench load, so a bad value fails fast.
   DeviceType device =
       flags.GetString("device") == "xavier" ? DeviceType::kXavier : DeviceType::kTx2;
   double slo = flags.GetDouble("lat_req");
   double contention = flags.GetDouble("gl") / 100.0;
-  const Workbench& wb = Workbench::Get(device);
+  int max_videos = flags.GetCount("videos");
+  bool cpu_family = flags.GetInt("cpu_family") != 0;
+  std::string name = flags.GetString("protocol");
+  bool lrc_variant = name == "litereconfig" || name == "mincost" ||
+                     name == "maxcontent-resnet" || name == "maxcontent-mobilenet";
+  bool baseline = name == "approxdet" || name == "ssd" || name == "yolo";
+  if (!lrc_variant && !baseline) {
+    std::cerr << "unknown protocol '" << name << "'\n";
+    flags.PrintHelp(std::cerr);
+    return 1;
+  }
+  // The baselines write no decision trace and run a fixed branch space, so
+  // they would silently ignore these flags.
+  const char* lrc_only = !flags.GetString("trace").empty() ? "trace"
+                         : cpu_family                      ? "cpu_family"
+                                                           : nullptr;
+  if (baseline && lrc_only != nullptr) {
+    std::cerr << "error: --" << lrc_only
+              << " applies to LiteReconfig variants only, not --protocol=" << name
+              << "\n";
+    return 2;
+  }
+  EvalConfig config;
+  config.device = device;
+  config.gpu_contention = contention;
+  config.slo_ms = slo;
+  config.run_salt = static_cast<uint64_t>(flags.GetInt("run_salt"));
+  config.threads = flags.GetCount("threads");
+  std::optional<FaultSpec> faults = FaultSpec::FromName(flags.GetString("faults"));
+  if (!faults) {
+    std::cerr << "unknown fault schedule '" << flags.GetString("faults")
+              << "' (want " << preset_list << ")\n";
+    return 1;
+  }
+  config.faults = *faults;
+  config.fault_seed = static_cast<uint64_t>(flags.GetInt("fault_seed"));
+  config.degrade = flags.GetInt("degrade") != 0;
+  config.predictive = flags.GetInt("predictive") != 0;
 
+  const Workbench& wb = Workbench::Get(device);
   Dataset validation = wb.validation();
-  int max_videos = flags.GetInt("videos");
   if (max_videos > 0 && static_cast<size_t>(max_videos) < validation.videos.size()) {
     validation.videos.resize(static_cast<size_t>(max_videos));
   }
@@ -78,20 +117,18 @@ int Run(int argc, char** argv) {
   std::ofstream trace_file;
   std::unique_ptr<TraceWriter> trace;
   std::unique_ptr<Protocol> protocol;
-  std::string name = flags.GetString("protocol");
-  if (name == "litereconfig" || name == "mincost" || name == "maxcontent-resnet" ||
-      name == "maxcontent-mobilenet") {
-    SchedulerConfig config = LiteReconfigProtocol::FullConfig();
+  if (lrc_variant) {
+    SchedulerConfig scheduler = LiteReconfigProtocol::FullConfig();
     if (name == "mincost") {
-      config = LiteReconfigProtocol::MinCostConfig();
+      scheduler = LiteReconfigProtocol::MinCostConfig();
     } else if (name == "maxcontent-resnet") {
-      config = LiteReconfigProtocol::MaxContentConfig(FeatureKind::kResNet50);
+      scheduler = LiteReconfigProtocol::MaxContentConfig(FeatureKind::kResNet50);
     } else if (name == "maxcontent-mobilenet") {
-      config = LiteReconfigProtocol::MaxContentConfig(FeatureKind::kMobileNetV2);
+      scheduler = LiteReconfigProtocol::MaxContentConfig(FeatureKind::kMobileNetV2);
     }
     const TrainedModels& models =
-        flags.GetInt("cpu_family") != 0 ? wb.cpu_family_models() : wb.models();
-    auto lrc = std::make_unique<LiteReconfigProtocol>(&models, config, name);
+        cpu_family ? wb.cpu_family_models() : wb.models();
+    auto lrc = std::make_unique<LiteReconfigProtocol>(&models, scheduler, name);
     if (!flags.GetString("trace").empty()) {
       trace_file.open(flags.GetString("trace"));
       if (!trace_file) {
@@ -104,33 +141,12 @@ int Run(int argc, char** argv) {
     protocol = std::move(lrc);
   } else if (name == "approxdet") {
     protocol = std::make_unique<ApproxDetProtocol>(&wb.models());
-  } else if (name == "ssd" || name == "yolo") {
+  } else {
     LatencyModel profile(device, 0.0);
     protocol = std::make_unique<StaticKnobProtocol>(
         name == "ssd" ? BaselineFamily::kSsd : BaselineFamily::kYolo,
         name == "ssd" ? "SSD+" : "YOLO+", wb.train(), profile, slo);
-  } else {
-    std::cerr << "unknown protocol '" << name << "'\n";
-    flags.PrintHelp(std::cerr);
-    return 1;
   }
-
-  EvalConfig config;
-  config.device = device;
-  config.gpu_contention = contention;
-  config.slo_ms = slo;
-  config.run_salt = static_cast<uint64_t>(flags.GetInt("run_salt"));
-  config.threads = flags.GetInt("threads");
-  std::optional<FaultSpec> faults = FaultSpec::FromName(flags.GetString("faults"));
-  if (!faults) {
-    std::cerr << "unknown fault schedule '" << flags.GetString("faults")
-              << "' (want " << preset_list << ")\n";
-    return 1;
-  }
-  config.faults = *faults;
-  config.fault_seed = static_cast<uint64_t>(flags.GetInt("fault_seed"));
-  config.degrade = flags.GetInt("degrade") != 0;
-  config.predictive = flags.GetInt("predictive") != 0;
   EvalResult result = OnlineRunner::Run(*protocol, validation, config);
 
   if (trace != nullptr) {

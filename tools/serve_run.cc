@@ -67,12 +67,11 @@ int Run(int argc, char** argv) {
               << "' (want costbenefit | equalsplit)\n";
     return 1;
   }
-  const Workbench& wb = Workbench::Get(device);
 
   ArrivalSpec spec;
   spec.seed = static_cast<uint64_t>(flags.GetInt("arrival_seed"));
-  spec.num_streams = flags.GetInt("streams");
-  spec.frames_per_video = flags.GetInt("frames");
+  spec.num_streams = flags.GetCount("streams");
+  spec.frames_per_video = flags.GetCount("frames");
   spec.slo_ms = flags.GetDouble("slo");
   spec.mean_interarrival_rounds = flags.GetDouble("interarrival");
 
@@ -81,7 +80,7 @@ int Run(int argc, char** argv) {
   config.admission.capacity = flags.GetDouble("capacity");
   config.admission.max_streams =
       static_cast<size_t>(std::max(flags.GetInt("max_streams"), 0));
-  config.threads = flags.GetInt("threads");
+  config.threads = flags.GetCount("threads");
   std::optional<FaultSpec> faults = FaultSpec::FromName(flags.GetString("faults"));
   if (!faults) {
     std::cerr << "unknown fault schedule '" << flags.GetString("faults")
@@ -91,6 +90,7 @@ int Run(int argc, char** argv) {
   config.faults.spec = *faults;
   config.faults.fault_seed = static_cast<uint64_t>(flags.GetInt("fault_seed"));
   config.faults.degrade = flags.GetInt("degrade") != 0;
+  bool cpu_family = flags.GetInt("cpu_family") != 0;
 
   std::ofstream trace_file;
   std::unique_ptr<TraceWriter> trace;
@@ -103,8 +103,11 @@ int Run(int argc, char** argv) {
     trace = std::make_unique<TraceWriter>(trace_file);
   }
 
+  // Every flag is validated above, before the (possibly slow, first-run
+  // training) workbench load.
+  const Workbench& wb = Workbench::Get(device);
   const TrainedModels& models =
-      flags.GetInt("cpu_family") != 0 ? wb.cpu_family_models() : wb.models();
+      cpu_family ? wb.cpu_family_models() : wb.models();
   ServeEval eval = ServeRunner::Run(models, spec, config, trace.get());
   const ServeResult& result = eval.result;
 
