@@ -11,7 +11,8 @@ namespace litereconfig {
 
 namespace {
 
-constexpr int kHiddenDim = 64;
+constexpr size_t kHiddenDim = 64;
+constexpr size_t kLatentDim = static_cast<size_t>(kFrameLatentDim);
 
 // Latent layout indices (see src/video/latent.cc).
 struct LatentMask {
@@ -65,20 +66,21 @@ struct EmbeddingWeights {
 
 EmbeddingWeights MakeWeights(uint64_t weight_seed, int out_dim) {
   EmbeddingWeights w;
+  const size_t dim = static_cast<size_t>(out_dim);
   double limit1 = std::sqrt(3.0 / kFrameLatentDim);
-  w.w1.resize(static_cast<size_t>(kHiddenDim * kFrameLatentDim));
-  for (int h = 0; h < kHiddenDim; ++h) {
-    for (int i = 0; i < kFrameLatentDim; ++i) {
-      w.w1[static_cast<size_t>(h * kFrameLatentDim + i)] =
-          FixedWeight(weight_seed, h, i, limit1);
+  w.w1.resize(kHiddenDim * kLatentDim);
+  for (size_t h = 0; h < kHiddenDim; ++h) {
+    for (size_t i = 0; i < kLatentDim; ++i) {
+      w.w1[h * kLatentDim + i] = FixedWeight(weight_seed, static_cast<int>(h),
+                                             static_cast<int>(i), limit1);
     }
   }
   double limit2 = std::sqrt(3.0 / kHiddenDim);
-  w.w2.resize(static_cast<size_t>(out_dim * kHiddenDim));
-  for (int o = 0; o < out_dim; ++o) {
-    for (int h = 0; h < kHiddenDim; ++h) {
-      w.w2[static_cast<size_t>(o * kHiddenDim + h)] =
-          FixedWeight(weight_seed + 1, o, h, limit2);
+  w.w2.resize(dim * kHiddenDim);
+  for (size_t o = 0; o < dim; ++o) {
+    for (size_t h = 0; h < kHiddenDim; ++h) {
+      w.w2[o * kHiddenDim + h] = FixedWeight(weight_seed + 1, static_cast<int>(o),
+                                             static_cast<int>(h), limit2);
     }
   }
   return w;
@@ -88,50 +90,51 @@ std::vector<double> ProjectLatent(const SyntheticVideo& video, int t,
                                   const LatentMask& mask, int out_dim,
                                   uint64_t weight_seed, double noise_sigma,
                                   const EmbeddingWeights& weights) {
+  const size_t dim = static_cast<size_t>(out_dim);
   std::vector<double> latent = ComputeFrameLatent(video, t);
   ApplyMask(latent, mask);
   // Hidden layer.
   std::vector<double> hidden(kHiddenDim, 0.0);
-  for (int h = 0; h < kHiddenDim; ++h) {
+  for (size_t h = 0; h < kHiddenDim; ++h) {
     double sum = 0.0;
-    const double* row = &weights.w1[static_cast<size_t>(h * kFrameLatentDim)];
-    for (int i = 0; i < kFrameLatentDim; ++i) {
-      sum += row[i] * latent[static_cast<size_t>(i)];
+    const double* row = &weights.w1[h * kLatentDim];
+    for (size_t i = 0; i < kLatentDim; ++i) {
+      sum += row[i] * latent[i];
     }
-    hidden[static_cast<size_t>(h)] = std::tanh(3.0 * sum);
+    hidden[h] = std::tanh(3.0 * sum);
   }
   // Output layer with observation noise. The matrix-vector product runs four
   // output rows at a time: each row's sum still accumulates in the exact
   // per-row order (bit-identical), but the four independent chains overlap
   // the FP-add latency that serializes a single running sum. The noise is
   // applied in a separate output-order pass so the RNG stream is untouched.
-  std::vector<double> out(static_cast<size_t>(out_dim), 0.0);
-  int o = 0;
-  for (; o + 4 <= out_dim; o += 4) {
-    const double* r0 = &weights.w2[static_cast<size_t>((o + 0) * kHiddenDim)];
-    const double* r1 = &weights.w2[static_cast<size_t>((o + 1) * kHiddenDim)];
-    const double* r2 = &weights.w2[static_cast<size_t>((o + 2) * kHiddenDim)];
-    const double* r3 = &weights.w2[static_cast<size_t>((o + 3) * kHiddenDim)];
+  std::vector<double> out(dim, 0.0);
+  const size_t blocked = dim - dim % 4;
+  for (size_t o = 0; o < blocked; o += 4) {
+    const double* r0 = &weights.w2[(o + 0) * kHiddenDim];
+    const double* r1 = &weights.w2[(o + 1) * kHiddenDim];
+    const double* r2 = &weights.w2[(o + 2) * kHiddenDim];
+    const double* r3 = &weights.w2[(o + 3) * kHiddenDim];
     double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    for (int h = 0; h < kHiddenDim; ++h) {
-      double hv = hidden[static_cast<size_t>(h)];
+    for (size_t h = 0; h < kHiddenDim; ++h) {
+      double hv = hidden[h];
       s0 += r0[h] * hv;
       s1 += r1[h] * hv;
       s2 += r2[h] * hv;
       s3 += r3[h] * hv;
     }
-    out[static_cast<size_t>(o + 0)] = s0;
-    out[static_cast<size_t>(o + 1)] = s1;
-    out[static_cast<size_t>(o + 2)] = s2;
-    out[static_cast<size_t>(o + 3)] = s3;
+    out[o + 0] = s0;
+    out[o + 1] = s1;
+    out[o + 2] = s2;
+    out[o + 3] = s3;
   }
-  for (; o < out_dim; ++o) {
+  for (size_t o = blocked; o < dim; ++o) {
     double sum = 0.0;
-    const double* row = &weights.w2[static_cast<size_t>(o * kHiddenDim)];
-    for (int h = 0; h < kHiddenDim; ++h) {
-      sum += row[h] * hidden[static_cast<size_t>(h)];
+    const double* row = &weights.w2[o * kHiddenDim];
+    for (size_t h = 0; h < kHiddenDim; ++h) {
+      sum += row[h] * hidden[h];
     }
-    out[static_cast<size_t>(o)] = sum;
+    out[o] = sum;
   }
   Pcg32 noise(HashKeys({video.spec().seed, static_cast<uint64_t>(t), weight_seed,
                         0x4e4e4eull}));
