@@ -14,6 +14,11 @@
 // the absolute numbers against bench/perf_baseline.json to catch regressions
 // over time.
 //
+// The train_tiny section times the cold-start training path at unit-test
+// scale: the TrainConfig::Tiny() offline pass this binary needs anyway, plus
+// one batch of snippet accuracy labels (every branch over a fixed set of
+// training snippets, the label loop of the offline pass) on one thread.
+//
 // --profile additionally runs one instrumented pass of the pipelined e2e
 // variant and reports where its thread time goes phase by phase
 // (decide/detect/track/other/eval/merge), as a table and a "profile" section
@@ -158,6 +163,33 @@ std::vector<double> TimeRuns(const TrainedModels& models, const Dataset& dataset
   return best_ms;
 }
 
+// Wall milliseconds to label `count` Tiny training snippets over every branch
+// (the two-salt average of the offline pass), on the calling thread.
+double TimeLabelBatch(const BranchSpace& space, int count) {
+  TrainConfig config = TrainConfig::Tiny();
+  Dataset dataset = BuildDataset(config.train_spec, DatasetSplit::kTrain);
+  std::vector<SnippetRef> snippets =
+      MakeSnippets(dataset, config.snippet_length, config.snippet_stride);
+  snippets.resize(std::min(snippets.size(), static_cast<size_t>(count)));
+  double sink = 0.0;
+  WallTimer timer;
+  for (const SnippetRef& snippet : snippets) {
+    for (const Branch& branch : space.branches()) {
+      sink += ExecutionKernel::SnippetAccuracy(*snippet.video, snippet.start,
+                                               snippet.length, branch,
+                                               config.label_salt);
+      sink += ExecutionKernel::SnippetAccuracy(*snippet.video, snippet.start,
+                                               snippet.length, branch,
+                                               config.label_salt + 1);
+    }
+  }
+  double ms = timer.ElapsedMs();
+  if (sink < 0.0) {
+    std::cout << "";
+  }
+  return ms;
+}
+
 std::string JsonSection(const std::string& name, double fast, double reference,
                         const std::string& unit) {
   std::ostringstream out;
@@ -183,8 +215,12 @@ int Run(int argc, char** argv) {
   // Tiny-scale models: the fast-vs-reference ratio depends on the branch
   // space (shared with production scale), not on training fidelity, and CI
   // needs this binary cheap.
+  WallTimer train_timer;
   TrainedModels models =
       OfflineTrainer::Train(TrainConfig::Tiny(), BranchSpace::Default());
+  double train_ms = train_timer.ElapsedMs();
+  constexpr int kLabelSnippets = 8;
+  double labels_ms = TimeLabelBatch(*models.space, kLabelSnippets);
   std::vector<DecisionCase> cases = MakeCases(models);
 
   constexpr int kDecideIters = 300;
@@ -278,6 +314,9 @@ int Run(int argc, char** argv) {
                           2)});
   table.AddRow({"Run e2e (pipeline on/off), ms", FmtDouble(run_fast_ms, 1),
                 FmtDouble(run_serial_ms, 1), FmtDouble(pipeline_speedup, 2)});
+  table.AddRow({"Train Tiny, ms", FmtDouble(train_ms, 1), "", ""});
+  table.AddRow({"Label " + std::to_string(kLabelSnippets) + " snippets, ms",
+                FmtDouble(labels_ms, 1), "", ""});
   table.Print(std::cout);
 
   if (profile) {
@@ -320,7 +359,10 @@ int Run(int argc, char** argv) {
   json << JsonSection("e2e_run", run_fast_ms, run_reference_ms, "ms") << ",\n";
   json << "  \"e2e_pipeline\": {\"on_ms\": " << run_fast_ms
        << ", \"off_ms\": " << run_serial_ms
-       << ", \"speedup\": " << pipeline_speedup << "}";
+       << ", \"speedup\": " << pipeline_speedup << "},\n";
+  json << "  \"train_tiny\": {\"fast_ms\": " << train_ms
+       << ", \"labels_ms\": " << labels_ms
+       << ", \"label_snippets\": " << kLabelSnippets << "}";
   if (profile) {
     json << ",\n  \"profile\": {\"wall_ms\": " << profile_wall_ms
          << ", \"decide_ms\": " << phases.decide_us / 1000.0
