@@ -133,17 +133,25 @@ double ExecutionKernel::SnippetAccuracy(const SyntheticVideo& video, int start,
                                         const DetectorQuality& quality) {
   ApEvaluator eval;
   int end = std::min(video.frame_count(), start + length);
+  // One track arena and one set of frame slots serve every GoF of the
+  // snippet. Each GoF is cut at the snippet's end: the tracker is causal, so
+  // the frames it keeps come out exactly as in the full-length GoF.
+  TrackBatch scratch;
+  std::vector<DetectionList> slots(
+      static_cast<size_t>(std::max(0, std::min(branch.gof, end - start) - 1)));
+  Branch gof_branch = branch;
   int t = start;
-  while (t < end) {
-    GofResult gof = RunGof(video, t, branch, run_salt, quality);
-    if (gof.frames.empty()) {
-      break;
+  while (t < end && branch.gof > 0) {
+    gof_branch.gof = std::min(branch.gof, end - t);
+    DetectionList anchor = DetectAnchor(video, t, gof_branch, run_salt, quality);
+    int tracked = TrackRemainderInto(video, t, gof_branch, anchor, run_salt,
+                                     scratch, slots.data(), quality);
+    eval.AddFrame(video.frame(t).VisibleGroundTruth(), anchor);
+    for (int i = 0; i < tracked; ++i) {
+      eval.AddFrame(video.frame(t + 1 + i).VisibleGroundTruth(),
+                    slots[static_cast<size_t>(i)]);
     }
-    for (size_t i = 0; i < gof.frames.size() && t + static_cast<int>(i) < end; ++i) {
-      int frame_idx = t + static_cast<int>(i);
-      eval.AddFrame(video.frame(frame_idx).VisibleGroundTruth(), gof.frames[i]);
-    }
-    t += static_cast<int>(gof.frames.size());
+    t += 1 + tracked;
   }
   return eval.MeanAveragePrecision();
 }
