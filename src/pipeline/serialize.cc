@@ -159,7 +159,6 @@ std::optional<TrainedModels> LoadTrainedModels(const std::string& path,
       }
       config.layer_dims.push_back(dim);
     }
-    AccuracyPredictor predictor(kind, config);
     std::vector<Matrix> weights;
     std::vector<std::vector<double>> biases;
     for (size_t l = 0; l + 1 < config.layer_dims.size(); ++l) {
@@ -176,8 +175,8 @@ std::optional<TrainedModels> LoadTrainedModels(const std::string& path,
       weights.push_back(std::move(w));
       biases.push_back(std::move(bdata));
     }
-    predictor.mutable_mlp().SetParameters(std::move(weights), std::move(biases));
-    models.accuracy.emplace(kind, std::move(predictor));
+    models.accuracy.emplace(
+        kind, AccuracyPredictor(kind, Mlp(config, std::move(weights), std::move(biases))));
   }
 
   if (!ReadDoubles(is, models.mean_branch_accuracy) ||

@@ -30,6 +30,8 @@ class AccuracyPredictor {
                                     size_t hidden_width, size_t epochs);
 
   AccuracyPredictor(FeatureKind kind, const MlpConfig& config);
+  // Wraps an existing network, e.g. one restored from trained parameters.
+  AccuracyPredictor(FeatureKind kind, Mlp mlp);
 
   // Training rows: x = [light | hashed(content)] built with BuildInput;
   // y = per-branch snippet mAP labels. Returns the final training MSE.
@@ -45,7 +47,6 @@ class AccuracyPredictor {
 
   FeatureKind kind() const { return kind_; }
   const Mlp& mlp() const { return mlp_; }
-  Mlp& mutable_mlp() { return mlp_; }
 
  private:
   FeatureKind kind_;
