@@ -215,7 +215,7 @@ TEST(MlpTest, ForwardMacsCountsProducts) {
   EXPECT_EQ(mlp.ForwardMacs(), 4u * 8u + 8u * 2u);
 }
 
-TEST(MlpTest, SetParametersRoundTrip) {
+TEST(MlpTest, ParameterConstructorRoundTrip) {
   MlpConfig config = SmallConfig({2, 4, 1}, 20);
   Mlp original(config);
   Matrix x(16, 2);
@@ -227,8 +227,7 @@ TEST(MlpTest, SetParametersRoundTrip) {
     y(i, 0) = x(i, 0) + x(i, 1);
   }
   original.Train(x, y);
-  Mlp copy(config);
-  copy.SetParameters(original.weights(), original.biases());
+  Mlp copy(config, original.weights(), original.biases());
   EXPECT_EQ(copy.Predict({0.4, -0.1}), original.Predict({0.4, -0.1}));
 }
 
