@@ -3,6 +3,8 @@
 // harness fast enough to regenerate every table on a laptop.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "src/det/detector.h"
 #include "src/features/feature.h"
 #include "src/mbek/kernel.h"
@@ -54,10 +56,16 @@ void BM_GofExecution(benchmark::State& state) {
   branch.gof = static_cast<int>(state.range(0));
   branch.has_tracker = true;
   branch.tracker = {TrackerType::kKcf, 2};
+  // The executors' form: the anchor, then the tracked frames written into
+  // slots through one reused track arena.
+  TrackBatch arena;
+  std::vector<DetectionList> slots(static_cast<size_t>(branch.gof));
   int t = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ExecutionKernel::RunGof(video, t % (video.frame_count() - branch.gof), branch));
+    int start = t % (video.frame_count() - branch.gof);
+    slots[0] = ExecutionKernel::DetectAnchor(video, start, branch);
+    benchmark::DoNotOptimize(ExecutionKernel::TrackRemainderInto(
+        video, start, branch, slots[0], /*run_salt=*/0, arena, slots.data() + 1));
     t += branch.gof;
   }
 }

@@ -19,6 +19,11 @@
 // one batch of snippet accuracy labels (every branch over a fixed set of
 // training snippets, the label loop of the offline pass) on one thread.
 //
+// The serve_warm section times warm serving: ServeRunner::Run over one fixed
+// arrival trace (cost-benefit allocator, admission queueing, no faults) on
+// the same models, reported as best-of-reps wall ms and planning rounds per
+// second.
+//
 // --profile additionally runs one instrumented pass of the pipelined e2e
 // variant and reports where its thread time goes phase by phase
 // (decide/detect/track/other/eval/merge), as a table and a "profile" section
@@ -38,6 +43,7 @@
 #include "src/features/light.h"
 #include "src/mbek/kernel.h"
 #include "src/pipeline/trainer.h"
+#include "src/serve/serve_runner.h"
 #include "src/util/rng.h"
 #include "src/video/dataset.h"
 
@@ -190,6 +196,37 @@ double TimeLabelBatch(const BranchSpace& space, int count) {
   return ms;
 }
 
+// Best-of-reps wall clock of ServeRunner::Run over one fixed arrival trace,
+// and the planning rounds the run took (the same every rep).
+struct ServeTiming {
+  double ms = 0.0;
+  int rounds = 0;
+};
+
+ServeTiming TimeServe(const TrainedModels& models, int threads, int reps) {
+  ArrivalSpec spec;
+  spec.seed = 4;
+  spec.num_streams = 48;
+  spec.frames_per_video = 300;
+  spec.mean_interarrival_rounds = 0.5;
+  ServeConfig config;
+  config.allocator.mode = AllocatorMode::kCostBenefit;
+  config.threads = threads;
+  ServeTiming timing;
+  for (int r = 0; r < reps; ++r) {
+    WallTimer timer;
+    ServeEval eval = ServeRunner::Run(models, spec, config);
+    double ms = timer.ElapsedMs();
+    if (eval.result.total_frames == 0) {
+      std::cerr << "bench_perf: empty serving result\n";
+      std::exit(2);
+    }
+    timing.ms = r == 0 ? ms : std::min(timing.ms, ms);
+    timing.rounds = eval.result.rounds;
+  }
+  return timing;
+}
+
 std::string JsonSection(const std::string& name, double fast, double reference,
                         const std::string& unit) {
   std::ostringstream out;
@@ -274,6 +311,10 @@ int Run(int argc, char** argv) {
   double run_reference_ms = run_ms[1];
   double run_serial_ms = run_ms[2];
 
+  ServeTiming serve = TimeServe(models, threads, /*reps=*/9);
+  double serve_rounds_per_s =
+      serve.ms > 0.0 ? 1000.0 * serve.rounds / serve.ms : 0.0;
+
   double decide_speedup = full_fast_us > 0.0 ? full_ref_us / full_fast_us : 0.0;
   double pipeline_speedup =
       run_fast_ms > 0.0 ? run_serial_ms / run_fast_ms : 0.0;
@@ -314,6 +355,9 @@ int Run(int argc, char** argv) {
                           2)});
   table.AddRow({"Run e2e (pipeline on/off), ms", FmtDouble(run_fast_ms, 1),
                 FmtDouble(run_serial_ms, 1), FmtDouble(pipeline_speedup, 2)});
+  table.AddRow({"Serve warm, ms (" + FmtDouble(serve_rounds_per_s, 0) +
+                    " rounds/s)",
+                FmtDouble(serve.ms, 1), "", ""});
   table.AddRow({"Train Tiny, ms", FmtDouble(train_ms, 1), "", ""});
   table.AddRow({"Label " + std::to_string(kLabelSnippets) + " snippets, ms",
                 FmtDouble(labels_ms, 1), "", ""});
@@ -360,6 +404,9 @@ int Run(int argc, char** argv) {
   json << "  \"e2e_pipeline\": {\"on_ms\": " << run_fast_ms
        << ", \"off_ms\": " << run_serial_ms
        << ", \"speedup\": " << pipeline_speedup << "},\n";
+  json << "  \"serve_warm\": {\"fast_ms\": " << serve.ms
+       << ", \"rounds\": " << serve.rounds
+       << ", \"rounds_per_s\": " << serve_rounds_per_s << "},\n";
   json << "  \"train_tiny\": {\"fast_ms\": " << train_ms
        << ", \"labels_ms\": " << labels_ms
        << ", \"label_snippets\": " << kLabelSnippets << "}";

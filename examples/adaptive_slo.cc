@@ -2,7 +2,9 @@
 // mid-stream (e.g. the user starts interacting) and relaxes it again. This
 // example drives the scheduler directly through the public API — no protocol
 // wrapper — to show how the decision changes with the objective.
+#include <algorithm>
 #include <iostream>
+#include <utility>
 
 #include "src/mbek/kernel.h"
 #include "src/pipeline/workbench.h"
@@ -62,13 +64,16 @@ int main(int argc, char** argv) {
                            current.has_value() && *current != decision.branch_index
                                ? "  << switch"
                                : "");
-    GofResult gof = ExecutionKernel::RunGof(video, t, branch);
-    if (gof.frames.empty()) {
+    // Only the anchor's detections feed the next decision; the demo does not
+    // score the tracked frames, so it runs the detector alone.
+    int length = std::min(branch.gof, video.frame_count() - t);
+    if (length <= 0) {
       break;
     }
-    anchor = gof.anchor_detections;
+    DetectionList detections = ExecutionKernel::DetectAnchor(video, t, branch);
+    anchor = std::move(detections);
     current = decision.branch_index;
-    t += static_cast<int>(gof.frames.size());
+    t += length;
   }
   std::cout << "\nNote how the tight phase forces cheaper branches (longer GoFs, "
                "lighter\ndetector settings) and changes which content features "

@@ -3,7 +3,9 @@
 // slowdown from observed kernel latencies and the scheduler downshifting to
 // keep the SLO, then upshifting when the contention clears — the adaptation the
 // static SSD+/YOLO+ baselines lack (paper Table 2's "F" cells).
+#include <algorithm>
 #include <iostream>
+#include <utility>
 
 #include "src/mbek/kernel.h"
 #include "src/pipeline/workbench.h"
@@ -50,31 +52,34 @@ int main(int argc, char** argv) {
     ctx.gpu_cal = gpu_cal;
     SchedulerDecision decision = scheduler.Decide(ctx);
     const Branch& branch = space.at(decision.branch_index);
-    GofResult gof = ExecutionKernel::RunGof(video, t, branch);
-    if (gof.frames.empty()) {
+    // Only the anchor's detections feed the next decision; the demo does not
+    // score the tracked frames, so it runs the detector alone.
+    int length = std::min(branch.gof, video.frame_count() - t);
+    if (length <= 0) {
       break;
     }
+    DetectionList detections = ExecutionKernel::DetectAnchor(video, t, branch);
     // Observe the actual detector latency under the *current* contention and
     // fold it into the calibration, exactly as the runtime does.
     double det_sample = platform.Sample(platform.DetectorMs(branch.detector), rng);
     gpu_cal = 0.7 * gpu_cal + 0.3 * (det_sample / profiled.DetectorMs(branch.detector));
     double track_ms = 0.0;
     if (branch.has_tracker) {
-      for (size_t i = 1; i < gof.frames.size(); ++i) {
+      for (int i = 1; i < length; ++i) {
         track_ms += platform.Sample(
             platform.TrackerMs(branch.tracker,
-                               static_cast<int>(gof.anchor_detections.size())),
+                               static_cast<int>(detections.size())),
             rng);
       }
     }
     double frame_ms = (det_sample + track_ms + decision.scheduler_cost_ms) /
-                      static_cast<double>(gof.frames.size());
+                      static_cast<double>(length);
     std::cout << StrFormat("%5d  %9.0f%%  %7.2f  %-27s %8.1f%s\n", t,
                            contention_at(t) * 100, gpu_cal, branch.Id().c_str(),
                            frame_ms, frame_ms > kSlo ? "  !! over SLO" : "");
-    anchor = gof.anchor_detections;
+    anchor = std::move(detections);
     current = decision.branch_index;
-    t += static_cast<int>(gof.frames.size());
+    t += length;
   }
   std::cout << "\nThe calibration factor tracks the 1.74x contention inflation "
                "within a couple\nof GoFs; the scheduler trades accuracy for "

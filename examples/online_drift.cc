@@ -5,7 +5,9 @@
 // sustained prediction bias; the runtime responds by re-profiling the latency
 // predictor against the observed platform (the paper's prescription: "if the
 // compute capability ... changes, one may re-train the latency predictor").
+#include <algorithm>
 #include <iostream>
+#include <utility>
 
 #include "src/mbek/kernel.h"
 #include "src/pipeline/workbench.h"
@@ -85,28 +87,31 @@ int main(int argc, char** argv) {
     ctx.frames_remaining = video.frame_count() - t;
     SchedulerDecision decision = scheduler.Decide(ctx);
     const Branch& branch = models.space->at(decision.branch_index);
-    GofResult gof = ExecutionKernel::RunGof(video, t, branch);
-    if (gof.frames.empty()) {
+    // Only the anchor's detections feed the next decision; the demo does not
+    // score the tracked frames, so it runs the detector alone.
+    int length = std::min(branch.gof, video.frame_count() - t);
+    if (length <= 0) {
       break;
     }
+    DetectionList detections = ExecutionKernel::DetectAnchor(video, t, branch);
     double det = platform.Sample(platform.DetectorMs(branch.detector), rng);
     double track = 0.0;
     if (branch.has_tracker) {
-      for (size_t i = 1; i < gof.frames.size(); ++i) {
+      for (int i = 1; i < length; ++i) {
         track += platform.Sample(
             platform.TrackerMs(branch.tracker,
-                               static_cast<int>(gof.anchor_detections.size())),
+                               static_cast<int>(detections.size())),
             rng);
       }
     }
     double frame_ms = (det + track + decision.scheduler_cost_ms) /
-                      static_cast<double>(gof.frames.size());
+                      static_cast<double>(length);
     ++gofs;
     if (frame_ms > kSlo) {
       ++violations;
     }
     monitor.ObserveLatency(decision.predicted_frame_ms, frame_ms);
-    monitor.ObserveDetections(gof.anchor_detections);
+    monitor.ObserveDetections(detections);
     DriftStatus status = monitor.Check();
     if (status.latency_drift && !retrained) {
       std::cout << "frame " << t << ": latency drift detected (sustained bias "
@@ -142,9 +147,9 @@ int main(int argc, char** argv) {
       violations = 0;
       gofs = 0;
     }
-    anchor = gof.anchor_detections;
+    anchor = std::move(detections);
     current = decision.branch_index;
-    t += static_cast<int>(gof.frames.size());
+    t += length;
   }
   std::cout << "  violation rate after retraining:  "
             << FmtDouble(gofs > 0 ? 100.0 * violations / gofs : 0.0, 1) << "% ("

@@ -75,26 +75,6 @@ std::vector<DetectionList> ExecutionKernel::TrackRemainder(
   return frames;
 }
 
-GofResult ExecutionKernel::RunGof(const SyntheticVideo& video, int start,
-                                  const Branch& branch, uint64_t run_salt,
-                                  const DetectorQuality& quality) {
-  GofResult result;
-  int remaining = video.frame_count() - start;
-  int length = std::min(branch.gof, remaining);
-  if (length <= 0) {
-    return result;
-  }
-  result.anchor_detections = DetectAnchor(video, start, branch, run_salt, quality);
-  result.frames.reserve(static_cast<size_t>(length));
-  result.frames.push_back(result.anchor_detections);
-  std::vector<DetectionList> rest =
-      TrackRemainder(video, start, branch, result.anchor_detections, run_salt, quality);
-  for (DetectionList& dets : rest) {
-    result.frames.push_back(std::move(dets));
-  }
-  return result;
-}
-
 int ExecutionKernel::TrackOnlyInto(const SyntheticVideo& video, int start,
                                    int length, const TrackerConfig& tracker,
                                    const DetectionList& init_detections,

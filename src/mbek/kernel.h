@@ -13,31 +13,20 @@
 
 namespace litereconfig {
 
-struct GofResult {
-  // Per-frame outputs for frames [start, start + frames.size()).
-  std::vector<DetectionList> frames;
-  // The detector's output on the anchor (first) frame; the source of the
-  // ResNet50/CPoP features and of the light features' object statistics.
-  DetectionList anchor_detections;
-};
-
 class ExecutionKernel {
  public:
-  // Runs `branch` starting at frame `start`, for min(branch.gof, frames left)
-  // frames. The detector runs on the anchor; the tracker (if any) on the rest.
-  // `quality` selects the detector family (default: the MBEK's Faster R-CNN).
-  // Composed from DetectAnchor + TrackRemainder below.
-  static GofResult RunGof(const SyntheticVideo& video, int start, const Branch& branch,
-                          uint64_t run_salt = 0,
-                          const DetectorQuality& quality = {});
-
-  // The anchor half of RunGof: the detector on frame `start` alone. Returns an
+  // One GoF of `branch` starting at frame `start` spans min(branch.gof, frames
+  // left) frames: the detector runs on the anchor, the tracker (if any) on the
+  // rest. `quality` selects the detector family (default: the MBEK's Faster
+  // R-CNN).
+  //
+  // The anchor of the GoF: the detector on frame `start` alone. Returns an
   // empty list when no frames remain.
   static DetectionList DetectAnchor(const SyntheticVideo& video, int start,
                                     const Branch& branch, uint64_t run_salt = 0,
                                     const DetectorQuality& quality = {});
 
-  // The remainder half of RunGof: the per-frame outputs for frames
+  // The rest of the GoF: the per-frame outputs for frames
   // (start, start + min(branch.gof, frames left)) — i.e. everything after the
   // anchor — given the anchor's detections. A pure function of its arguments.
   static std::vector<DetectionList> TrackRemainder(

@@ -3,19 +3,28 @@
 #include <algorithm>
 
 #include "src/sched/cost_table.h"
+#include "src/sched/scheduler_session.h"
 
 namespace litereconfig {
 
 std::vector<BranchOption> BuildBranchMenu(const TrainedModels& models,
                                           const SchedulerConfig& config,
                                           const DecisionContext& ctx,
-                                          const std::vector<double>& light) {
+                                          const std::vector<double>& light,
+                                          SchedulerSession* session) {
   // Price the menu at the full SLO: the budget cap is what the allocator is
   // about to compute from this menu.
   DecisionContext unbudgeted = ctx;
   unbudgeted.budget_ms = 0.0;
-  DecisionCostTable table =
-      DecisionCostTable::Build(models, config, unbudgeted, light);
+  DecisionCostTable local_table;
+  const DecisionCostTable* table_ptr;
+  if (session != nullptr) {
+    table_ptr = &session->TableFor(models, config, unbudgeted, light);
+  } else {
+    local_table = DecisionCostTable::Build(models, config, unbudgeted, light);
+    table_ptr = &local_table;
+  }
+  const DecisionCostTable& table = *table_ptr;
   double s0 =
       models.FeatureCostMs(FeatureKind::kLight, ctx.gpu_cal, ctx.cpu_cal);
 

@@ -82,7 +82,7 @@ bool StreamSession::FeasibleAt(double level) const {
 
 std::vector<BranchOption> StreamSession::Menu(double level,
                                               double thermal_scale,
-                                              bool gpu_available) const {
+                                              bool gpu_available) {
   DecisionContext ctx;
   ctx.video = &video_;
   ctx.frame = t_;
@@ -96,7 +96,7 @@ std::vector<BranchOption> StreamSession::Menu(double level,
   ctx.gpu_available = gpu_available;
   std::vector<double> light = ComputeLightFeatures(
       video_.spec().width, video_.spec().height, anchor_);
-  return BuildBranchMenu(*models_, scheduler_.config(), ctx, light);
+  return BuildBranchMenu(*models_, scheduler_.config(), ctx, light, &session_);
 }
 
 double StreamSession::CheapestFrameMs(double level, double thermal_scale,
@@ -289,7 +289,7 @@ GofReport StreamSession::StepGof(const StepConditions& conditions) {
     ctx.cpu_cal = conditions.thermal_scale;
     ctx.budget_ms = conditions.budget_ms;
     ctx.gpu_available = !mask_gpu;
-    decision = scheduler_.Decide(ctx);
+    decision = scheduler_.Decide(ctx, &session_);
   }
   report.infeasible = decision.infeasible;
   if (decision.infeasible) {

@@ -27,6 +27,7 @@
 #include "src/platform/switching.h"
 #include "src/sched/branch_menu.h"
 #include "src/sched/scheduler.h"
+#include "src/sched/scheduler_session.h"
 #include "src/serve/arrivals.h"
 #include "src/serve/service_faults.h"
 #include "src/serve/slo_class.h"
@@ -120,8 +121,14 @@ class StreamSession {
   // trades along. With the GPU denied, GPU-backed branches price +inf and
   // drop off the frontier; only the CPU family (if present) survives.
   // Consumes no RNG.
+  //
+  // Non-const: the menu is priced through the stream's SchedulerSession, the
+  // same one the round's StepGof decides with, so the decision reuses the
+  // table columns the menu just built. The service calls Menu from its serial
+  // control loop and StepGof on one worker per stream, never both at once
+  // for the same stream.
   std::vector<BranchOption> Menu(double level, double thermal_scale = 1.0,
-                                 bool gpu_available = true) const;
+                                 bool gpu_available = true);
 
   // Mean per-frame cost of the cheapest branch at the given device state —
   // what the stream costs if it runs at all. The pressure ladder's fit check
@@ -194,6 +201,8 @@ class StreamSession {
 
   const TrainedModels* models_;
   LiteReconfigScheduler scheduler_;
+  // The stream's cost-table reuse state, shared by Menu and StepGof.
+  SchedulerSession session_;
   StreamRequest request_;
   SyntheticVideo video_;
   const SwitchingCostModel* switching_;

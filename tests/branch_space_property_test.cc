@@ -8,6 +8,7 @@
 #include "src/mbek/kernel.h"
 #include "src/platform/latency.h"
 #include "src/sched/latency_predictor.h"
+#include "tests/gof_oracle.h"
 
 namespace litereconfig {
 namespace {
@@ -51,7 +52,7 @@ TEST_P(BranchSweep, PlatformLatencyPositiveFiniteAndDeviceOrdered) {
 
 TEST_P(BranchSweep, GofExecutionEmitsExactlyGofFrames) {
   const Branch& branch = BranchSpace::Default().at(GetParam());
-  GofResult gof = ExecutionKernel::RunGof(PropertyVideo(), 0, branch, 5);
+  GofResult gof = RunGof(PropertyVideo(), 0, branch, 5);
   int expected = std::min(branch.gof, PropertyVideo().frame_count());
   EXPECT_EQ(gof.frames.size(), static_cast<size_t>(expected));
   EXPECT_EQ(gof.frames.front().size(), gof.anchor_detections.size());

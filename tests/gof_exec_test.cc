@@ -14,6 +14,7 @@
 #include "src/platform/latency.h"
 #include "src/platform/switching.h"
 #include "src/util/rng.h"
+#include "tests/gof_oracle.h"
 
 namespace litereconfig {
 namespace {
@@ -98,7 +99,7 @@ TEST(GofExecTest, DetectGofMatchesRunGofAndDrawsInFixedOrder) {
   Branch from = TrackedBranch(4);
   Branch branch = TrackedBranch(8);
   branch.detector = {576, 10};
-  GofResult want = ExecutionKernel::RunGof(video, 10, branch, 9);
+  GofResult want = RunGof(video, 10, branch, 9);
 
   for (bool switched : {false, true}) {
     Pcg32 rng(21);
@@ -147,7 +148,7 @@ TEST(GofExecTest, DetectGofStopsAtTheCallerCap) {
   Branch clipped = branch;
   clipped.gof = 5;
   got.resize(5);
-  ExpectSameFrames(got, ExecutionKernel::RunGof(video, 20, clipped, 3).frames);
+  ExpectSameFrames(got, RunGof(video, 20, clipped, 3).frames);
 }
 
 }  // namespace

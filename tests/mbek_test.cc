@@ -7,6 +7,7 @@
 #include "src/mbek/pareto.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
+#include "tests/gof_oracle.h"
 
 namespace litereconfig {
 namespace {
@@ -71,7 +72,7 @@ TEST(KernelTest, GofLengthAndAnchor) {
   branch.gof = 8;
   branch.has_tracker = true;
   branch.tracker = {TrackerType::kMedianFlow, 4};
-  GofResult result = ExecutionKernel::RunGof(video, 0, branch);
+  GofResult result = RunGof(video, 0, branch);
   EXPECT_EQ(result.frames.size(), 8u);
   EXPECT_EQ(result.frames[0].size(), result.anchor_detections.size());
 }
@@ -83,7 +84,7 @@ TEST(KernelTest, GofTruncatesAtVideoEnd) {
   branch.gof = 50;
   branch.has_tracker = true;
   branch.tracker = {TrackerType::kKcf, 2};
-  GofResult result = ExecutionKernel::RunGof(video, 15, branch);
+  GofResult result = RunGof(video, 15, branch);
   EXPECT_EQ(result.frames.size(), 5u);
 }
 
@@ -91,14 +92,15 @@ TEST(KernelTest, PastEndReturnsEmpty) {
   SyntheticVideo video = MakeVideo(3, SceneArchetype::kSparse, 20);
   Branch branch;
   branch.detector = {320, 10};
-  EXPECT_TRUE(ExecutionKernel::RunGof(video, 20, branch).frames.empty());
+  EXPECT_TRUE(RunGof(video, 20, branch).frames.empty());
   EXPECT_TRUE(ExecutionKernel::DetectAnchor(video, 20, branch).empty());
   EXPECT_TRUE(ExecutionKernel::TrackRemainder(video, 20, branch, {}).empty());
 }
 
-// RunGof must equal its split decomposition exactly: LiteReconfigProtocol runs
-// a GoF as DetectAnchor, then the latency accounting, then TrackRemainder, and
-// the bit-identity of EvalResults rests on this.
+// The whole-GoF oracle (tests/gof_oracle.h) must equal its split
+// decomposition exactly: the executors run a GoF as DetectAnchor, then the
+// latency accounting, then the remainder, and the other kernel tests compare
+// them against this oracle.
 TEST(KernelTest, RunGofEqualsDetectAnchorPlusTrackRemainder) {
   const BranchSpace& space = BranchSpace::Default();
   for (uint64_t seed : {11u, 12u}) {
@@ -117,7 +119,7 @@ TEST(KernelTest, RunGofEqualsDetectAnchorPlusTrackRemainder) {
                  /*run_salt=*/5)) {
           composed.frames.push_back(std::move(frame));
         }
-        GofResult whole = ExecutionKernel::RunGof(video, start, branch,
+        GofResult whole = RunGof(video, start, branch,
                                                   /*run_salt=*/5);
         ASSERT_EQ(whole.frames.size(), composed.frames.size())
             << "branch " << b << " start " << start;

@@ -19,34 +19,6 @@
 namespace litereconfig {
 namespace {
 
-void ExpectIdenticalDecisions(const SchedulerDecision& fast,
-                              const SchedulerDecision& reference,
-                              int trial) {
-  EXPECT_EQ(fast.branch_index, reference.branch_index) << "trial " << trial;
-  ASSERT_EQ(fast.heavy_features.size(), reference.heavy_features.size())
-      << "trial " << trial;
-  for (size_t i = 0; i < fast.heavy_features.size(); ++i) {
-    EXPECT_EQ(fast.heavy_features[i], reference.heavy_features[i])
-        << "trial " << trial << " feature " << i;
-  }
-  // Bit-identical, not approximately equal: the fast path must perform the
-  // same floating-point operations in the same order.
-  EXPECT_EQ(fast.scheduler_cost_ms, reference.scheduler_cost_ms)
-      << "trial " << trial;
-  EXPECT_EQ(fast.switch_cost_ms, reference.switch_cost_ms) << "trial " << trial;
-  EXPECT_EQ(fast.predicted_accuracy, reference.predicted_accuracy)
-      << "trial " << trial;
-  EXPECT_EQ(fast.predicted_frame_ms, reference.predicted_frame_ms)
-      << "trial " << trial;
-  EXPECT_EQ(fast.infeasible, reference.infeasible) << "trial " << trial;
-  ASSERT_EQ(fast.light_features.size(), reference.light_features.size())
-      << "trial " << trial;
-  for (size_t i = 0; i < fast.light_features.size(); ++i) {
-    EXPECT_EQ(fast.light_features[i], reference.light_features[i])
-        << "trial " << trial << " light " << i;
-  }
-}
-
 TEST(SchedFastPathTest, DecideMatchesReferenceAcrossRandomizedConfigs) {
   const TrainedModels& models = TinyModels();
   const BranchSpace& space = *models.space;

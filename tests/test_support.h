@@ -3,6 +3,8 @@
 #ifndef TESTS_TEST_SUPPORT_H_
 #define TESTS_TEST_SUPPORT_H_
 
+#include <gtest/gtest.h>
+
 #include "src/pipeline/trainer.h"
 #include "src/sched/cpu_family.h"
 #include "src/video/dataset.h"
@@ -34,6 +36,35 @@ inline const Dataset& TinyTrain() {
   static const Dataset* dataset = new Dataset(
       BuildDataset(TrainConfig::Tiny().train_spec, DatasetSplit::kTrain));
   return *dataset;
+}
+
+// Field-for-field decision identity: `trial` labels the failure. Every double
+// is compared bit for bit, not approximately — the fast path and the session
+// forms must perform the same floating-point operations in the same order.
+inline void ExpectIdenticalDecisions(const SchedulerDecision& fast,
+                                     const SchedulerDecision& reference,
+                                     int trial) {
+  EXPECT_EQ(fast.branch_index, reference.branch_index) << "trial " << trial;
+  ASSERT_EQ(fast.heavy_features.size(), reference.heavy_features.size())
+      << "trial " << trial;
+  for (size_t i = 0; i < fast.heavy_features.size(); ++i) {
+    EXPECT_EQ(fast.heavy_features[i], reference.heavy_features[i])
+        << "trial " << trial << " feature " << i;
+  }
+  EXPECT_EQ(fast.scheduler_cost_ms, reference.scheduler_cost_ms)
+      << "trial " << trial;
+  EXPECT_EQ(fast.switch_cost_ms, reference.switch_cost_ms) << "trial " << trial;
+  EXPECT_EQ(fast.predicted_accuracy, reference.predicted_accuracy)
+      << "trial " << trial;
+  EXPECT_EQ(fast.predicted_frame_ms, reference.predicted_frame_ms)
+      << "trial " << trial;
+  EXPECT_EQ(fast.infeasible, reference.infeasible) << "trial " << trial;
+  ASSERT_EQ(fast.light_features.size(), reference.light_features.size())
+      << "trial " << trial;
+  for (size_t i = 0; i < fast.light_features.size(); ++i) {
+    EXPECT_EQ(fast.light_features[i], reference.light_features[i])
+        << "trial " << trial << " light " << i;
+  }
 }
 
 }  // namespace litereconfig
