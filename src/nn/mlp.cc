@@ -71,7 +71,13 @@ void Mlp::InitLayout() {
   }
 }
 
-void Mlp::Forward(const double* input, double* activations) const {
+// The entry is aligned to a cache line so the alignment of the loops below
+// does not depend on how much code the linker places ahead of this function.
+// Unaligned, a change elsewhere in the library that moved this entry from
+// offset 0 to 32 within its cache line made perfbench single_tenant jobs 11%
+// slower (job_ms_p50 32.6 -> 36.2 ms, six of six pairs) with this function
+// unchanged.
+[[gnu::aligned(64)]] void Mlp::Forward(const double* input, double* activations) const {
   size_t num_layers = weights_.size();
   const double* a = input;
   for (size_t l = 0; l < num_layers; ++l) {
