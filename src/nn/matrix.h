@@ -26,10 +26,6 @@ class Matrix {
   const std::vector<double>& data() const { return data_; }
   std::vector<double>& data() { return data_; }
 
-  // out = this * other. Requires cols() == other.rows().
-  Matrix MatMul(const Matrix& other) const;
-  Matrix Transposed() const;
-
   // Xavier/Glorot uniform initialization, deterministic in the seed.
   static Matrix XavierUniform(size_t rows, size_t cols, uint64_t seed);
 

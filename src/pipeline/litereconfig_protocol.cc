@@ -86,9 +86,10 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
   // Every frame slot is preallocated so GoF outputs are written in place.
   // The invariant is that slots [0, t) hold the emitted frames.
   stats.frames.resize(static_cast<size_t>(video.frame_count()));
-  // The batched scheduler: one session per stream reuses the switch-cost row
-  // and effective-GoF columns across consecutive GoFs. The serial reference
-  // executor (env.pipeline == false) decides from scratch every GoF instead.
+  // The batched scheduler: one session per stream reuses the cost-table
+  // columns whose inputs did not change across consecutive GoFs. The serial
+  // reference executor (env.pipeline == false) passes no session, so each
+  // decision prices through a fresh one.
   SchedulerSession session;
   SchedulerSession* const session_ptr = env.pipeline ? &session : nullptr;
   Pcg32 rng(HashKeys({video.spec().seed, env.run_salt, 0x117e2ull}));

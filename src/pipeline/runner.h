@@ -33,10 +33,11 @@ struct EvalConfig {
   // Predictive robustness (contention forecasting, staged degradation, drift
   // recalibration); only meaningful with faults injected and degrade on.
   bool predictive = false;
-  // The batched execution plan (scheduler-session reuse across GoFs plus
-  // one reused track arena per stream; see RunEnv::pipeline). Bit-identical
-  // results either way; off is the serial reference executor the perf harness
-  // compares against.
+  // The batched execution plan (one SchedulerSession per stream, reusing the
+  // cost table's switch-cost row, effective-GoF and latency columns across
+  // GoFs, plus one reused track arena per stream; see RunEnv::pipeline).
+  // Bit-identical results either way; off is the serial reference executor
+  // the perf harness compares against.
   bool pipeline = true;
   // Optional per-phase profiling clock (bench-injected; see PhaseClockFn).
   // Null disables all phase timing.

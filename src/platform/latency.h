@@ -76,7 +76,6 @@ class LatencyModel {
   // Scales a TX2-measured mean to this device and contention level. Used by the
   // baseline families, whose latency anchors are TX2 measurements.
   double GpuScaledMs(double tx2_ms) const { return GpuMs(tx2_ms); }
-  double CpuScaledMs(double tx2_ms) const { return CpuMs(tx2_ms); }
 
  private:
   double GpuMs(double tx2_ms) const;

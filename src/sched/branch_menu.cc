@@ -16,15 +16,9 @@ std::vector<BranchOption> BuildBranchMenu(const TrainedModels& models,
   // about to compute from this menu.
   DecisionContext unbudgeted = ctx;
   unbudgeted.budget_ms = 0.0;
-  DecisionCostTable local_table;
-  const DecisionCostTable* table_ptr;
-  if (session != nullptr) {
-    table_ptr = &session->TableFor(models, config, unbudgeted, light);
-  } else {
-    local_table = DecisionCostTable::Build(models, config, unbudgeted, light);
-    table_ptr = &local_table;
-  }
-  const DecisionCostTable& table = *table_ptr;
+  SchedulerSession fresh;
+  const DecisionCostTable& table = (session != nullptr ? session : &fresh)
+                                       ->TableFor(models, config, unbudgeted, light);
   double s0 =
       models.FeatureCostMs(FeatureKind::kLight, ctx.gpu_cal, ctx.cpu_cal);
 

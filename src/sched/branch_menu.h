@@ -36,10 +36,10 @@ struct BranchOption {
 // Empty when no branch fits the margin-adjusted SLO (ctx.budget_ms is ignored
 // here: the menu is an input to budget assignment, not an output of it).
 //
-// With a non-null `session` (the stream's own; see
-// src/sched/scheduler_session.h) the table comes from session->TableFor, so
-// the round's Decide through the same session reuses its columns. With
-// nullptr a fresh table is built. Menus are bit-identical either way.
+// The table comes from `session` (the stream's own; see
+// src/sched/scheduler_session.h), so the round's Decide through the same
+// session reuses its columns. With nullptr a fresh session prices every
+// column. Menus are bit-identical either way.
 std::vector<BranchOption> BuildBranchMenu(const TrainedModels& models,
                                           const SchedulerConfig& config,
                                           const DecisionContext& ctx,

@@ -1,6 +1,5 @@
 #include "src/sched/cost_table.h"
 
-#include <algorithm>
 #include <limits>
 
 namespace litereconfig {
@@ -17,49 +16,6 @@ size_t CheapestBranchIndex(size_t branch_count,
     }
   }
   return cheapest;
-}
-
-DecisionCostTable DecisionCostTable::Build(const TrainedModels& models,
-                                           const SchedulerConfig& config,
-                                           const DecisionContext& ctx,
-                                           const std::vector<double>& light) {
-  const BranchSpace& space = *models.space;
-  DecisionCostTable table;
-  table.branch_ms_.reserve(space.size());
-  table.switch_ms_.reserve(space.size());
-  table.gof_.reserve(space.size());
-  table.slo_limit_ms_ = SloLimitMs(config, ctx);
-  // The same conservative count headroom the reference FrameCostMs applies:
-  // the tracked-object population can grow by the time the GoF runs, so the
-  // tracker cost is predicted at count + 1.
-  std::vector<double> conservative = light;
-  conservative[2] += 1.0 / 8.0;
-  const Branch* current = ctx.current_branch.has_value()
-                              ? &space.at(*ctx.current_branch)
-                              : nullptr;
-  const bool charge_switch = config.use_switching_cost && current != nullptr &&
-                             models.switching.has_value();
-  for (size_t b = 0; b < space.size(); ++b) {
-    const Branch& branch = space.at(b);
-    int effective_gof = branch.gof;
-    if (ctx.frames_remaining > 0) {
-      effective_gof = std::min(effective_gof, ctx.frames_remaining);
-    }
-    // Availability mask: with the GPU denied, GPU-backed branches price as
-    // +inf — present in the table but infeasible and never cheapest while any
-    // finite-cost branch exists. inf + finite = inf keeps CostMs bit-identical
-    // to the reference FrameCostMs, which applies the same mask.
-    double branch_ms =
-        (!ctx.gpu_available && !branch.detector.cpu)
-            ? std::numeric_limits<double>::infinity()
-            : models.latency.PredictFrameMs(b, conservative, ctx.gpu_cal,
-                                            ctx.cpu_cal, effective_gof);
-    table.branch_ms_.push_back(branch_ms);
-    table.switch_ms_.push_back(
-        charge_switch ? models.switching->OfflineCostMs(*current, branch) : 0.0);
-    table.gof_.push_back(static_cast<double>(effective_gof));
-  }
-  return table;
 }
 
 size_t DecisionCostTable::Cheapest(double sched_ms) const {

@@ -7,11 +7,12 @@
 // changes only through the scheduler-cost term s: branch_ms (the conservative
 // latency prediction), switch_ms (the offline switching-cost estimate from the
 // current branch) and the effective GoF length are all fixed by the decision
-// context. The reference implementation nevertheless re-ran the full latency
-// predictor for every (candidate feature x branch x greedy iteration) probe —
-// O(features^2 x branches) ridge evaluations and vector copies per decision.
-// DecisionCostTable evaluates the predictor once per branch and turns every
-// later feasibility probe into three floating-point operations.
+// context. The reference implementation (DecideReference / FrameCostMs, kept as
+// the oracle) re-runs the full latency predictor for every (candidate feature x
+// branch x greedy iteration) probe — O(features^2 x branches) ridge evaluations
+// and vector copies per decision. DecisionCostTable evaluates the predictor once
+// per branch and turns every later feasibility probe into three floating-point
+// operations.
 //
 // Bit-exactness contract: CostMs reproduces the reference FrameCostMs
 // expression term by term, in the same order, on the same precomputed doubles,
@@ -36,18 +37,15 @@ namespace litereconfig {
 size_t CheapestBranchIndex(size_t branch_count,
                            const std::function<double(size_t)>& cost_ms);
 
+// One decision's precomputed branch costs: per-branch conservative latency
+// prediction under (gpu_cal, cpu_cal), per-branch offline switch cost from
+// ctx.current_branch (zero when switching costs are off or there is no current
+// branch), and the effective GoF amortization lengths capped by
+// ctx.frames_remaining. SchedulerSession::TableFor is the only builder (see
+// src/sched/scheduler_session.h); callers without a session of their own price
+// through a fresh one.
 class DecisionCostTable {
  public:
-  // Builds the table for one decision: per-branch conservative latency
-  // prediction under (gpu_cal, cpu_cal), per-branch offline switch cost from
-  // ctx.current_branch (zero when switching costs are off or there is no
-  // current branch), and the effective GoF amortization lengths capped by
-  // ctx.frames_remaining.
-  static DecisionCostTable Build(const TrainedModels& models,
-                                 const SchedulerConfig& config,
-                                 const DecisionContext& ctx,
-                                 const std::vector<double>& light);
-
   // Amortized per-frame cost of branch `index` when the decision itself costs
   // `sched_ms` — the reference FrameCostMs expression on precomputed terms.
   double CostMs(size_t index, double sched_ms) const {
@@ -67,8 +65,8 @@ class DecisionCostTable {
   double slo_limit_ms() const { return slo_limit_ms_; }
 
  private:
-  // SchedulerSession rebuilds tables in place across GoFs (reusing rows whose
-  // inputs did not change) under the same bit-exactness contract as Build.
+  // SchedulerSession builds the columns, rebuilding them in place across GoFs
+  // and reusing the ones whose inputs did not change.
   friend class SchedulerSession;
 
   std::vector<double> branch_ms_;

@@ -52,7 +52,7 @@ double LiteReconfigScheduler::FrameCostMs(size_t index,
   // violations routine at mid SLOs.
   std::vector<double> conservative = light;
   conservative[2] += 1.0 / 8.0;
-  // Availability mask (same form as DecisionCostTable::Build): a GPU-backed
+  // Availability mask (same form as SchedulerSession::TableFor): a GPU-backed
   // branch under a denied GPU prices as +inf — enumerated, never feasible.
   // inf + finite = inf keeps this expression bit-identical to the table's.
   double frame_ms =
@@ -185,8 +185,9 @@ std::vector<FeatureKind> LiteReconfigScheduler::SelectFeaturesWithTable(
 std::vector<FeatureKind> LiteReconfigScheduler::SelectFeatures(
     const std::vector<double>& light, const std::vector<double>& light_pred,
     const DecisionContext& ctx) const {
-  DecisionCostTable table = DecisionCostTable::Build(*models_, config_, ctx, light);
-  return SelectFeaturesWithTable(light_pred, ctx, table);
+  SchedulerSession fresh;
+  return SelectFeaturesWithTable(light_pred, ctx,
+                                 fresh.TableFor(*models_, config_, ctx, light));
 }
 
 std::vector<FeatureKind> LiteReconfigScheduler::ChooseHeavyFeatures(
@@ -265,16 +266,11 @@ SchedulerDecision LiteReconfigScheduler::Decide(const DecisionContext& ctx,
 
   // The per-decision cost table: one latency-predictor pass per branch, shared
   // by feature selection, the branch scan, and the hysteresis check below.
-  // Sessions rebuild it in place, reusing the columns that did not change.
-  DecisionCostTable local_table;
-  const DecisionCostTable* table_ptr;
-  if (session != nullptr) {
-    table_ptr = &session->TableFor(*models_, config_, ctx, light);
-  } else {
-    local_table = DecisionCostTable::Build(*models_, config_, ctx, light);
-    table_ptr = &local_table;
-  }
-  const DecisionCostTable& table = *table_ptr;
+  // The caller's session rebuilds it in place, reusing the columns that did
+  // not change; without one, a fresh session prices every column.
+  SchedulerSession fresh;
+  const DecisionCostTable& table =
+      (session != nullptr ? session : &fresh)->TableFor(*models_, config_, ctx, light);
 
   // 1. Which heavy features to use.
   std::vector<FeatureKind> heavy = ChooseHeavyFeatures(light, light_pred, ctx, &table);

@@ -151,15 +151,15 @@ class LiteReconfigScheduler {
  public:
   LiteReconfigScheduler(const TrainedModels* models, SchedulerConfig config);
 
-  // The production decision path: precomputes a DecisionCostTable once per
+  // The production decision path: prices a DecisionCostTable once per
   // invocation (src/sched/cost_table.h) so every feasibility probe in feature
   // selection and the branch scan is cheap arithmetic. Bit-identical to
   // DecideReference by construction (tests/sched_fastpath_test.cc).
   //
-  // With a non-null `session` (one per video stream; see
-  // src/sched/scheduler_session.h) consecutive decisions additionally reuse
-  // the cost table's switch-cost row and effective-GoF columns across GoFs.
-  // Decisions are bit-identical with or without a session.
+  // The table comes from `session` (one per video stream; see
+  // src/sched/scheduler_session.h), so consecutive decisions reuse the
+  // columns whose inputs did not change; with nullptr a fresh session prices
+  // every column. Decisions are bit-identical with or without a session.
   SchedulerDecision Decide(const DecisionContext& ctx,
                            SchedulerSession* session) const;
   SchedulerDecision Decide(const DecisionContext& ctx) const {

@@ -54,7 +54,7 @@ const DecisionCostTable& SchedulerSession::TableFor(const TrainedModels& models,
   ++counters_.table_builds;
 
   // Effective-GoF columns: the same min(branch.gof, frames_remaining) ints the
-  // fresh Build computes, recomputed only when the clamp moved. Every
+  // reference FrameCostMs computes, recomputed only when the clamp moved. Every
   // frames_remaining at or beyond the longest GoF leaves all effective lengths
   // uncapped, so those contexts share one clamp value.
   const int gof_clamp = (ctx.frames_remaining > 0 && ctx.frames_remaining < max_gof_)
@@ -97,8 +97,10 @@ const DecisionCostTable& SchedulerSession::TableFor(const TrainedModels& models,
 
   // Latency column: the conservative prediction per branch under the
   // availability mask, recomputed unless every input matches bit for bit.
-  // Every expression matches DecisionCostTable::Build term for term on the
-  // same doubles — the bit-exactness contract of the fast path.
+  // Every expression matches the reference FrameCostMs term for term on the
+  // same doubles — the bit-exactness contract of the fast path. The same
+  // count headroom applies: the tracked-object population can grow by the time
+  // the GoF runs, so the tracker cost is predicted at count + 1.
   if (latency_valid_ && latency_gof_clamp_ == gof_clamp &&
       latency_gpu_available_ == ctx.gpu_available &&
       SameBits(latency_gpu_cal_, ctx.gpu_cal) &&

@@ -1,14 +1,19 @@
-// Cross-call reuse state for one video stream's cost tables.
+// The one builder of DecisionCostTables, and the cross-call reuse state for
+// one video stream's tables.
 //
 // A SchedulerSession belongs to one stream and prices every DecisionCostTable
 // that stream asks for:
 //
 //   * single-tenant runs hold one per RunVideo call and route each GoF's
-//     Decide through it;
+//     Decide through it (the pipeline=false executor passes none);
 //   * serving holds one per StreamSession, shared by the round's allocation
 //     menu (BuildBranchMenu) and the round's decision (Decide). The menu is
 //     priced at the unbudgeted context and the decision at the granted
 //     budget; everything else in the two contexts is the same.
+//
+// Callers with no session of their own — Decide(ctx), SelectFeatures,
+// BuildBranchMenu(..., nullptr) — price through a fresh one, whose first
+// TableFor call computes every column.
 //
 // The session keeps one table and rebuilds it in place on every TableFor
 // call, reusing each column whose own inputs did not change:
@@ -31,11 +36,11 @@
 //
 // The SLO limit is recomputed every call: it is the one term the budget moves.
 //
-// Bit-exactness: every reused value is the exact double the fresh computation
-// would produce — each column is a pure function of its key — so tables,
-// decisions and menus taken through a session are bit-identical to fresh ones
-// and to DecideReference (property-tested in tests/sched_fastpath_test.cc and
-// tests/serve_session_test.cc).
+// Bit-exactness: every reused value is the exact double a fresh session would
+// compute — each column is a pure function of its key — so tables, decisions
+// and menus taken through a long-lived session are bit-identical to fresh
+// ones and to DecideReference (property-tested in tests/sched_fastpath_test.cc
+// and tests/serve_session_test.cc).
 //
 // Threading: a session is per-stream state, never used by two threads at
 // once. In serving the control loop prices every menu before the round's

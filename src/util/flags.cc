@@ -7,13 +7,14 @@
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <sstream>
 
 namespace litereconfig {
 
 namespace {
 
 [[noreturn]] void RejectValue(const std::string& name, const std::string& value,
-                              const char* problem) {
+                              const std::string& problem) {
   std::cerr << "error: --" << name << ": '" << value << "' is " << problem
             << "\n";
   std::exit(2);
@@ -120,6 +121,38 @@ int FlagSet::GetCount(const std::string& name) const {
     RejectValue(name, GetString(name), "negative");
   }
   return parsed;
+}
+
+double FlagSet::GetPositive(const std::string& name) const {
+  double parsed = GetDouble(name);
+  if (!(parsed > 0.0)) {
+    RejectValue(name, GetString(name), "not positive");
+  }
+  return parsed;
+}
+
+double FlagSet::GetDoubleIn(const std::string& name, double lo, double hi) const {
+  double parsed = GetDouble(name);
+  if (parsed < lo || parsed > hi) {
+    std::ostringstream range;
+    range << "outside [" << lo << ", " << hi << "]";
+    RejectValue(name, GetString(name), range.str());
+  }
+  return parsed;
+}
+
+std::string FlagSet::GetChoice(const std::string& name,
+                               std::initializer_list<std::string_view> choices) const {
+  std::string value = GetString(name);
+  std::string allowed;
+  for (std::string_view choice : choices) {
+    if (value == choice) {
+      return value;
+    }
+    allowed += allowed.empty() ? "" : " | ";
+    allowed += choice;
+  }
+  RejectValue(name, value, "not one of " + allowed);
 }
 
 bool FlagSet::GetBool(const std::string& name) const {

@@ -5,14 +5,16 @@
 //   flags.Define("device", "tx2", "target device: tx2 | xavier");
 //   flags.Define("slo", "33.3", "latency objective in ms");
 //   if (!flags.Parse(argc, argv)) { flags.PrintHelp(std::cerr); return 1; }
-//   double slo = flags.GetDouble("slo");
+//   double slo = flags.GetPositive("slo");
 // Flags are passed as --name=value or --name value; --help is built in.
 #ifndef SRC_UTIL_FLAGS_H_
 #define SRC_UTIL_FLAGS_H_
 
+#include <initializer_list>
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace litereconfig {
@@ -40,6 +42,13 @@ class FlagSet {
   int GetInt(const std::string& name) const;
   // GetInt that also rejects negative values (counts, sizes, threads).
   int GetCount(const std::string& name) const;
+  // GetDouble that also rejects zero and negative values (latency objectives).
+  double GetPositive(const std::string& name) const;
+  // GetDouble that also rejects values outside the closed range [lo, hi].
+  double GetDoubleIn(const std::string& name, double lo, double hi) const;
+  // GetString that also rejects any value other than one of `choices`.
+  std::string GetChoice(const std::string& name,
+                        std::initializer_list<std::string_view> choices) const;
   bool GetBool(const std::string& name) const;
   // Whether the flag was explicitly set on the command line.
   bool IsSet(const std::string& name) const;

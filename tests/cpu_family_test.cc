@@ -19,6 +19,7 @@
 #include "src/platform/faults.h"
 #include "src/sched/branch_menu.h"
 #include "src/sched/cost_table.h"
+#include "src/sched/scheduler_session.h"
 #include "tests/test_support.h"
 
 namespace litereconfig {
@@ -164,10 +165,12 @@ TEST(CpuFamilyMenuTest, MaskedCostTablePricesGpuBranchesInfinite) {
   SchedulerConfig config = LiteReconfigProtocol::FullConfig();
   DecisionContext masked = MenuContext(/*gpu_available=*/false);
   DecisionContext open = MenuContext(/*gpu_available=*/true);
-  DecisionCostTable masked_table =
-      DecisionCostTable::Build(extended, config, masked, kLightProbe);
-  DecisionCostTable open_table =
-      DecisionCostTable::Build(extended, config, open, kLightProbe);
+  SchedulerSession masked_session;
+  SchedulerSession open_session;
+  const DecisionCostTable& masked_table =
+      masked_session.TableFor(extended, config, masked, kLightProbe);
+  const DecisionCostTable& open_table =
+      open_session.TableFor(extended, config, open, kLightProbe);
   ASSERT_EQ(masked_table.size(), extended.space->size());
   for (size_t b = 0; b < extended.space->size(); ++b) {
     if (extended.space->at(b).detector.cpu) {

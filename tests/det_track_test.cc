@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "src/det/detector.h"
 #include "src/track/tracker.h"
@@ -184,27 +188,48 @@ TEST(TrackerTest, NamesAreDistinct) {
   EXPECT_EQ(names.size(), static_cast<size_t>(kNumTrackerTypes));
 }
 
-TEST(TrackerTest, InitTracksMirrorsDetections) {
+// Keeps every detection: Reset's confident filter is the execution kernel's
+// policy, not part of the tracker model under test here.
+constexpr double kKeepAll = -std::numeric_limits<double>::infinity();
+
+TEST(TrackerTest, ResetMirrorsDetections) {
   DetectionList dets(3);
   dets[0].object_id = 11;
   dets[1].object_id = -1;
   dets[2].object_id = 13;
   dets[2].score = 0.7;
-  std::vector<TrackState> tracks = TrackerSim::InitTracks(dets);
+  TrackBatch tracks;
+  tracks.Reset(dets, kKeepAll);
   ASSERT_EQ(tracks.size(), 3u);
-  EXPECT_EQ(tracks[0].object_id, 11);
-  EXPECT_EQ(tracks[1].object_id, -1);
-  EXPECT_DOUBLE_EQ(tracks[2].score, 0.7);
-  EXPECT_FALSE(tracks[0].lost);
+  EXPECT_EQ(tracks.object_id[0], 11);
+  EXPECT_EQ(tracks.object_id[1], -1);
+  EXPECT_DOUBLE_EQ(tracks.score[2], 0.7);
+  EXPECT_EQ(tracks.lost[0], 0);
 }
 
 TEST(TrackerTest, EmitsOneOutputPerTrack) {
   SyntheticVideo video = MakeVideo(9, SceneArchetype::kSparse);
   DetectionList dets = DetectorSim::Detect(video, 0, {576, 100});
-  std::vector<TrackState> tracks = TrackerSim::InitTracks(dets);
+  TrackBatch tracks;
+  tracks.Reset(dets, kKeepAll);
   TrackerConfig config{TrackerType::kKcf, 2};
-  DetectionList out = TrackerSim::Step(video, 1, config, tracks);
+  DetectionList out;
+  TrackerSim::StepInto(video, 1, config, tracks, 0, out);
   EXPECT_EQ(out.size(), tracks.size());
+}
+
+// Ground-truth boxes of frame 0 as confident anchor detections.
+DetectionList PerfectAnchor(const SyntheticVideo& video) {
+  DetectionList anchor;
+  for (const SceneObjectState& obj : video.frame(0).objects) {
+    Detection det;
+    det.box = obj.gt.box;
+    det.class_id = obj.gt.class_id;
+    det.score = 0.9;
+    det.object_id = obj.gt.object_id;
+    anchor.push_back(det);
+  }
+  return anchor;
 }
 
 // Error accumulation property: the tracked box drifts from ground truth over
@@ -214,20 +239,12 @@ double MeanTrackingIou(SceneArchetype archetype, TrackerType type, int ds,
   RunningStat iou;
   for (uint64_t seed = 30; seed < 40; ++seed) {
     SyntheticVideo video = MakeVideo(seed, archetype, horizon + 2);
-    DetectionList anchor;
-    for (const SceneObjectState& obj : video.frame(0).objects) {
-      Detection det;
-      det.box = obj.gt.box;
-      det.class_id = obj.gt.class_id;
-      det.score = 0.9;
-      det.object_id = obj.gt.object_id;
-      anchor.push_back(det);
-    }
-    std::vector<TrackState> tracks = TrackerSim::InitTracks(anchor);
+    TrackBatch tracks;
+    tracks.Reset(PerfectAnchor(video), kKeepAll);
     TrackerConfig config{type, ds};
     DetectionList out;
     for (int t = 1; t <= horizon; ++t) {
-      out = TrackerSim::Step(video, t, config, tracks);
+      TrackerSim::StepInto(video, t, config, tracks, 0, out);
     }
     for (const Detection& det : out) {
       for (const SceneObjectState& obj : video.frame(horizon).objects) {
@@ -266,19 +283,84 @@ TEST(TrackerTest, SlowContentIsEasierToTrack) {
 
 TEST(TrackerTest, LostTrackEmitsStaleBoxWithDecayingScore) {
   SyntheticVideo video = MakeVideo(10, SceneArchetype::kSparse);
-  TrackState track;
-  track.object_id = 999999;  // no such object -> behaves like lost
-  track.class_id = 2;
-  track.score = 0.8;
-  track.last_box = Box{10, 10, 50, 50};
-  std::vector<TrackState> tracks = {track};
+  DetectionList dets(1);
+  dets[0].object_id = 999999;  // no such object -> behaves like lost
+  dets[0].class_id = 2;
+  dets[0].score = 0.8;
+  dets[0].box = Box{10, 10, 50, 50};
+  TrackBatch tracks;
+  tracks.Reset(dets, kKeepAll);
   TrackerConfig config{TrackerType::kKcf, 2};
-  DetectionList out1 = TrackerSim::Step(video, 1, config, tracks);
-  DetectionList out2 = TrackerSim::Step(video, 2, config, tracks);
+  DetectionList out1;
+  DetectionList out2;
+  TrackerSim::StepInto(video, 1, config, tracks, 0, out1);
+  TrackerSim::StepInto(video, 2, config, tracks, 0, out2);
   ASSERT_EQ(out1.size(), 1u);
   EXPECT_DOUBLE_EQ(out1[0].box.x, 10.0);
   EXPECT_LT(out2[0].score, out1[0].score);
   EXPECT_LT(out1[0].score, 0.8);
+}
+
+// Runs a batch reset from `anchor` over frames 1..horizon and returns every
+// frame's outputs.
+std::vector<DetectionList> TrackHorizon(const SyntheticVideo& video,
+                                        const DetectionList& anchor,
+                                        const TrackerConfig& config, int horizon) {
+  TrackBatch tracks;
+  tracks.Reset(anchor, kKeepAll);
+  std::vector<DetectionList> frames(static_cast<size_t>(horizon));
+  for (int t = 1; t <= horizon; ++t) {
+    TrackerSim::StepInto(video, t, config, tracks, /*run_salt=*/7,
+                         frames[static_cast<size_t>(t - 1)]);
+  }
+  return frames;
+}
+
+void ExpectSameDetection(const Detection& a, const Detection& b) {
+  EXPECT_EQ(a.object_id, b.object_id);
+  EXPECT_EQ(a.class_id, b.class_id);
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.score), std::bit_cast<uint64_t>(b.score));
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.box.x), std::bit_cast<uint64_t>(b.box.x));
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.box.y), std::bit_cast<uint64_t>(b.box.y));
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.box.w), std::bit_cast<uint64_t>(b.box.w));
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.box.h), std::bit_cast<uint64_t>(b.box.h));
+}
+
+// Per-track substreams are keyed on object_id, not on batch position: a
+// permuted batch yields the same outputs permuted the same way, and dropping
+// one track leaves every other track's outputs bit-identical.
+TEST(TrackerTest, SubstreamsAreKeyedNotPositional) {
+  constexpr int kHorizon = 20;
+  SyntheticVideo video = MakeVideo(31, SceneArchetype::kCrowded, kHorizon + 2);
+  DetectionList anchor = PerfectAnchor(video);
+  ASSERT_GE(anchor.size(), 3u);
+  const TrackerConfig config{TrackerType::kMedianFlow, 4};
+  std::vector<DetectionList> base = TrackHorizon(video, anchor, config, kHorizon);
+
+  // Reversed order: output i of the permuted batch is output n-1-i of the base.
+  DetectionList reversed(anchor.rbegin(), anchor.rend());
+  std::vector<DetectionList> permuted = TrackHorizon(video, reversed, config, kHorizon);
+  const size_t n = anchor.size();
+  for (int t = 0; t < kHorizon; ++t) {
+    ASSERT_EQ(permuted[t].size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      SCOPED_TRACE(testing::Message() << "permuted t=" << t + 1 << " i=" << i);
+      ExpectSameDetection(permuted[t][i], base[t][n - 1 - i]);
+    }
+  }
+
+  // Drop the middle detection: the others keep their outputs, in order.
+  const size_t dropped = n / 2;
+  DetectionList fewer = anchor;
+  fewer.erase(fewer.begin() + static_cast<std::ptrdiff_t>(dropped));
+  std::vector<DetectionList> rest = TrackHorizon(video, fewer, config, kHorizon);
+  for (int t = 0; t < kHorizon; ++t) {
+    ASSERT_EQ(rest[t].size(), n - 1);
+    for (size_t i = 0; i < n - 1; ++i) {
+      SCOPED_TRACE(testing::Message() << "dropped t=" << t + 1 << " i=" << i);
+      ExpectSameDetection(rest[t][i], base[t][i < dropped ? i : i + 1]);
+    }
+  }
 }
 
 }  // namespace

@@ -243,7 +243,8 @@ TEST(SchedFastPathTest, CostTableReproducesFrameCostExpression) {
   ctx.frame = 0;
   ctx.anchor_detections = &anchor;
   ctx.slo_ms = 33.3;
-  DecisionCostTable table = DecisionCostTable::Build(models, config, ctx, light);
+  SchedulerSession session;
+  const DecisionCostTable& table = session.TableFor(models, config, ctx, light);
   ASSERT_EQ(table.size(), models.space->size());
   EXPECT_EQ(table.slo_limit_ms(), ctx.slo_ms * config.slo_margin);
   // Larger scheduler cost can only raise amortized branch cost.

@@ -141,6 +141,45 @@ TEST(FlagSetTest, NegativeCountExitsNamingTheFlag) {
               "--v");
 }
 
+// Declared ranges (--device=tx2|xavier, --gl in [0, 99], a positive
+// --lat_req/--slo): a value the tool cannot honour as given exits 2 naming the
+// flag rather than running as some other value.
+TEST(FlagSetTest, ChoiceRejectsUnknownValues) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EQ(FlagWithValue("tx2").GetChoice("v", {"tx2", "xavier"}), "tx2");
+  EXPECT_EQ(FlagWithValue("xavier").GetChoice("v", {"tx2", "xavier"}), "xavier");
+  for (const char* bad : {"xavir", "Xavier", "", "tx2 "}) {
+    EXPECT_EXIT(FlagWithValue(bad).GetChoice("v", {"tx2", "xavier"}),
+                ::testing::ExitedWithCode(2), "--v.*not one of tx2 \\| xavier")
+        << "value '" << bad << "'";
+  }
+}
+
+TEST(FlagSetTest, PositiveRejectsZeroAndNegative) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DOUBLE_EQ(FlagWithValue("33.3").GetPositive("v"), 33.3);
+  EXPECT_DOUBLE_EQ(FlagWithValue("1e-3").GetPositive("v"), 1e-3);
+  for (const char* bad : {"0", "-0", "-1", "-33.3"}) {
+    EXPECT_EXIT(FlagWithValue(bad).GetPositive("v"), ::testing::ExitedWithCode(2),
+                "--v.*not positive")
+        << "value '" << bad << "'";
+  }
+  EXPECT_EXIT(FlagWithValue("abc").GetPositive("v"), ::testing::ExitedWithCode(2),
+              "--v.*not a number");
+}
+
+TEST(FlagSetTest, DoubleInRejectsOutOfRange) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DOUBLE_EQ(FlagWithValue("0").GetDoubleIn("v", 0.0, 99.0), 0.0);
+  EXPECT_DOUBLE_EQ(FlagWithValue("50").GetDoubleIn("v", 0.0, 99.0), 50.0);
+  EXPECT_DOUBLE_EQ(FlagWithValue("99").GetDoubleIn("v", 0.0, 99.0), 99.0);
+  for (const char* bad : {"150", "-5", "99.5", "-0.001"}) {
+    EXPECT_EXIT(FlagWithValue(bad).GetDoubleIn("v", 0.0, 99.0),
+                ::testing::ExitedWithCode(2), "--v.*outside \\[0, 99\\]")
+        << "value '" << bad << "'";
+  }
+}
+
 DecisionRecord SampleRecord() {
   DecisionRecord record;
   record.video_seed = 12345;

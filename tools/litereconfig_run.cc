@@ -65,10 +65,11 @@ int Run(int argc, char** argv) {
 
   // Every flag is validated before the (possibly slow, first-run training)
   // workbench load, so a bad value fails fast.
-  DeviceType device =
-      flags.GetString("device") == "xavier" ? DeviceType::kXavier : DeviceType::kTx2;
-  double slo = flags.GetDouble("lat_req");
-  double contention = flags.GetDouble("gl") / 100.0;
+  DeviceType device = flags.GetChoice("device", {"tx2", "xavier"}) == "xavier"
+                          ? DeviceType::kXavier
+                          : DeviceType::kTx2;
+  double slo = flags.GetPositive("lat_req");
+  double contention = flags.GetDoubleIn("gl", 0.0, 99.0) / 100.0;
   int max_videos = flags.GetCount("videos");
   bool cpu_family = flags.GetInt("cpu_family") != 0;
   std::string name = flags.GetString("protocol");

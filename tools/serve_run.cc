@@ -58,8 +58,11 @@ int Run(int argc, char** argv) {
     return flags.help_requested() ? 0 : 1;
   }
 
-  DeviceType device =
-      flags.GetString("device") == "xavier" ? DeviceType::kXavier : DeviceType::kTx2;
+  // Every flag is validated before the (possibly slow, first-run training)
+  // workbench load, so a bad value fails fast.
+  DeviceType device = flags.GetChoice("device", {"tx2", "xavier"}) == "xavier"
+                          ? DeviceType::kXavier
+                          : DeviceType::kTx2;
   std::optional<AllocatorMode> mode =
       AllocatorModeFromName(flags.GetString("allocator"));
   if (!mode) {
@@ -72,7 +75,7 @@ int Run(int argc, char** argv) {
   spec.seed = static_cast<uint64_t>(flags.GetInt("arrival_seed"));
   spec.num_streams = flags.GetCount("streams");
   spec.frames_per_video = flags.GetCount("frames");
-  spec.slo_ms = flags.GetDouble("slo");
+  spec.slo_ms = flags.GetPositive("slo");
   spec.mean_interarrival_rounds = flags.GetDouble("interarrival");
 
   ServeConfig config;
