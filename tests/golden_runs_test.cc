@@ -2,9 +2,11 @@
 // evaluation on the tiny model bundle and pins the FNV-1a digest of its output
 // bytes: EvalResultJson for the single-tenant protocols (LiteReconfig,
 // MinCost, ApproxDet, SSD+) under no faults, the severe preset and severe
-// with predictive robustness; the LiteReconfig decision trace; and
-// ServeEvalJson for a small arrival trace. Every case runs at 1 and 4 threads
-// against the same pin, so a pin also checks thread-count identity.
+// with predictive robustness; the LiteReconfig decision trace under severe,
+// severe with predictive robustness and (CPU family) denied_moderate, which
+// between them write every fault event kind; and ServeEvalJson for a small
+// arrival trace. Every case runs at 1 and 4 threads against the same pin, so
+// a pin also checks thread-count identity.
 //
 // A digest change means an output byte changed: a refactor of the GoF
 // execution path must leave every pin as it is. Suite names carry GoldenRuns
@@ -12,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -185,27 +189,87 @@ TEST(GoldenRunsPinTest, LiteReconfigCpuFamilyDeniedModerate) {
   }
 }
 
-TEST(GoldenRunsPinTest, LiteReconfigSevereTraceBytes) {
-  constexpr uint64_t kDigest = 0x8c29621e451f9092ull;
+// The TinyValidation videos at four times their length. The re-plan, restore
+// and re-anchor events need a stream long enough for a burst to end, a denial
+// to close, or the drift monitor to fill two windows; none of them fires in
+// any 60-frame TinyValidation run (fault seeds 1-300, every preset). At fault
+// seed 16 every fault event kind of RunVideo fires at least once.
+const Dataset& LongValidation() {
+  static const Dataset* dataset = new Dataset(BuildDataset(
+      DatasetSpec{/*base_seed=*/7, /*num_videos=*/4, /*frames_per_video=*/240},
+      DatasetSplit::kVal));
+  return *dataset;
+}
+constexpr uint64_t kTraceEventSeed = 16;
+
+// The decision trace of one LiteReconfig run, flushed in video order.
+std::string TraceBytes(const TrainedModels& models, const Dataset& dataset,
+                       const RunCase& run, int threads) {
   std::vector<uint64_t> video_order;
-  for (const SyntheticVideo& video : TinyValidation().videos) {
+  for (const SyntheticVideo& video : dataset.videos) {
     video_order.push_back(video.spec().seed);
   }
-  RunCase run{"", "litereconfig", 33.3, "severe", kSevereSeed, false, 0};
-  for (int threads : kThreadCounts) {
-    LiteReconfigProtocol protocol(&TinyModels(),
-                                  LiteReconfigProtocol::FullConfig(),
-                                  "litereconfig");
-    std::ostringstream bytes;
-    {
-      TraceWriter trace(bytes);
-      protocol.set_trace_writer(&trace);
-      OnlineRunner::Run(protocol, TinyValidation(), MakeConfig(run, threads));
-      trace.Flush(video_order);
-    }
-    EXPECT_FALSE(bytes.str().empty());
-    EXPECT_EQ(Hex(Fnv1a(bytes.str())), Hex(kDigest)) << "threads=" << threads;
+  LiteReconfigProtocol protocol(&models, LiteReconfigProtocol::FullConfig(),
+                                "litereconfig");
+  std::ostringstream bytes;
+  {
+    TraceWriter trace(bytes);
+    protocol.set_trace_writer(&trace);
+    OnlineRunner::Run(protocol, dataset, MakeConfig(run, threads));
+    trace.Flush(video_order);
   }
+  return bytes.str();
+}
+
+// Trace records whose event (or, for "fault" records, failure kind) is `kind`.
+int CountTraceEvents(const std::string& bytes, std::string_view kind) {
+  std::istringstream in(bytes);
+  std::string error;
+  std::optional<std::vector<DecisionRecord>> records =
+      TraceReader::ReadAllStrict(in, &error);
+  EXPECT_TRUE(records.has_value()) << error;
+  int count = 0;
+  for (const DecisionRecord& record : records.value_or(std::vector<DecisionRecord>{})) {
+    if (record.event == kind || (record.event == "fault" && record.branch_id == kind)) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+// Pins the trace bytes of `run` at every thread count and checks that each
+// of `kinds` appears in it at least once.
+void ExpectTracePin(const TrainedModels& models, const Dataset& dataset,
+                    const RunCase& run, uint64_t digest,
+                    std::initializer_list<std::string_view> kinds) {
+  for (int threads : kThreadCounts) {
+    std::string bytes = TraceBytes(models, dataset, run, threads);
+    EXPECT_FALSE(bytes.empty());
+    EXPECT_EQ(Hex(Fnv1a(bytes)), Hex(digest)) << "threads=" << threads;
+    for (std::string_view kind : kinds) {
+      EXPECT_GT(CountTraceEvents(bytes, kind), 0)
+          << kind << " threads=" << threads;
+    }
+  }
+}
+
+TEST(GoldenRunsPinTest, LiteReconfigSevereTraceBytes) {
+  ExpectTracePin(TinyModels(), TinyValidation(),
+                 {"", "litereconfig", 33.3, "severe", kSevereSeed, false, 0},
+                 0x8c29621e451f9092ull, {"decision", "fault"});
+}
+
+TEST(GoldenRunsPinTest, LiteReconfigSeverePredictiveTraceBytes) {
+  ExpectTracePin(TinyModels(), LongValidation(),
+                 {"", "litereconfig", 33.3, "severe", kTraceEventSeed, true, 0},
+                 0xf9cb3a665d7511dbull, {"decision", "replan", "recalibrate", "reanchor"});
+}
+
+TEST(GoldenRunsPinTest, LiteReconfigCpuFamilyDeniedModerateTraceBytes) {
+  ExpectTracePin(TinyCpuFamilyModels(), LongValidation(),
+                 {"", "litereconfig", 33.3, "denied_moderate", kTraceEventSeed,
+                  false, 0},
+                 0xa059c1d3784a5604ull, {"decision", "demote", "restore", "gpu_denied"});
 }
 
 TEST(GoldenRunsPinTest, LiteReconfigSevereReferenceExecutor) {
