@@ -1,18 +1,15 @@
 // The perf-regression harness (CI perf-smoke job).
 //
 // Times the scheduler hot path (Decide and SelectFeatures, fast vs. the
-// retained reference implementation) and the end-to-end OnlineRunner::Run
-// (fast vs. reference scheduler, and the batched plan on vs. off), then
-// writes the machine-readable BENCH_perf.json into the working directory (the
-// repo root in CI).
+// retained reference implementation) and the end-to-end OnlineRunner::Run,
+// then writes the machine-readable BENCH_perf.json into the working directory
+// (the repo root in CI).
 //
 // Exit status doubles as the in-binary acceptance gate: the fast Decide path
-// must be at least 2x the reference in kFull mode, and the pipelined+batched
-// execution plan must not run slower than the serial reference executor
-// (e2e_pipeline speedup >= 1.0). The ratios are machine-independent (both
-// sides run on the same host in the same process); CI additionally compares
-// the absolute numbers against bench/perf_baseline.json to catch regressions
-// over time.
+// must be at least 2x the reference in kFull mode. The ratio is
+// machine-independent (both sides run on the same host in the same process);
+// CI additionally compares the absolute numbers against
+// bench/perf_baseline.json to catch regressions over time.
 //
 // The train_tiny section times the cold-start training path at unit-test
 // scale: the TrainConfig::Tiny() offline pass this binary needs anyway, plus
@@ -24,8 +21,8 @@
 // the same models, reported as best-of-reps wall ms and planning rounds per
 // second.
 //
-// --profile additionally runs one instrumented pass of the pipelined e2e
-// variant and reports where its thread time goes phase by phase
+// --profile additionally runs one instrumented pass of the e2e run and
+// reports where its thread time goes phase by phase
 // (decide/detect/track/other/eval/merge), as a table and a "profile" section
 // in the JSON.
 //
@@ -137,34 +134,24 @@ double TimeSelect(const TrainedModels& models,
   return total_us / static_cast<double>(iters);
 }
 
-// One end-to-end OnlineRunner::Run variant: scheduler config + pipeline flag.
-struct RunVariant {
-  SchedulerConfig sched;
-  bool pipeline = true;
-};
-
-// Best-of-reps wall clock per variant, with the variants interleaved within
-// each rep so clock-frequency drift hits all of them alike.
-std::vector<double> TimeRuns(const TrainedModels& models, const Dataset& dataset,
-                             int threads, const std::vector<RunVariant>& variants,
-                             int reps) {
-  std::vector<double> best_ms(variants.size(), 0.0);
+// Best-of-reps wall clock of a full-mode LiteReconfig OnlineRunner::Run.
+double TimeRuns(const TrainedModels& models, const Dataset& dataset,
+                int threads, int reps) {
+  double best_ms = 0.0;
   for (int r = 0; r < reps; ++r) {
-    for (size_t v = 0; v < variants.size(); ++v) {
-      LiteReconfigProtocol protocol(&models, variants[v].sched, "LiteReconfig");
-      EvalConfig config;
-      config.slo_ms = 33.3;
-      config.threads = threads;
-      config.pipeline = variants[v].pipeline;
-      WallTimer timer;
-      EvalResult result = OnlineRunner::Run(protocol, dataset, config);
-      double ms = timer.ElapsedMs();
-      if (result.frames == 0) {
-        std::cerr << "bench_perf: empty evaluation result\n";
-        std::exit(2);
-      }
-      best_ms[v] = r == 0 ? ms : std::min(best_ms[v], ms);
+    LiteReconfigProtocol protocol(&models, LiteReconfigProtocol::FullConfig(),
+                                  "LiteReconfig");
+    EvalConfig config;
+    config.slo_ms = 33.3;
+    config.threads = threads;
+    WallTimer timer;
+    EvalResult result = OnlineRunner::Run(protocol, dataset, config);
+    double ms = timer.ElapsedMs();
+    if (result.frames == 0) {
+      std::cerr << "bench_perf: empty evaluation result\n";
+      std::exit(2);
     }
+    best_ms = r == 0 ? ms : std::min(best_ms, ms);
   }
   return best_ms;
 }
@@ -291,43 +278,29 @@ int Run(int argc, char** argv) {
       });
 
   // Fewer videos than workers: the production-shaped case of a stream count
-  // below the core count. The headline e2e comparison is fast-path vs
-  // reference scheduler (the scheduler pass dominates the per-GoF cost);
-  // pipeline on/off is reported alongside it.
+  // below the core count.
   DatasetSpec e2e_spec;
   e2e_spec.base_seed = 33;
   e2e_spec.num_videos = 2;
   e2e_spec.frames_per_video = 360;
   Dataset e2e_dataset = BuildDataset(e2e_spec, DatasetSplit::kVal);
-  RunVariant run_fast{LiteReconfigProtocol::FullConfig(), /*pipeline=*/true};
-  RunVariant run_reference = run_fast;
-  run_reference.sched.use_fast_path = false;
-  RunVariant run_serial = run_fast;
-  run_serial.pipeline = false;
-  std::vector<double> run_ms = TimeRuns(
-      models, e2e_dataset, threads, {run_fast, run_reference, run_serial},
-      /*reps=*/9);
-  double run_fast_ms = run_ms[0];
-  double run_reference_ms = run_ms[1];
-  double run_serial_ms = run_ms[2];
+  double run_ms = TimeRuns(models, e2e_dataset, threads, /*reps=*/9);
 
   ServeTiming serve = TimeServe(models, threads, /*reps=*/9);
   double serve_rounds_per_s =
       serve.ms > 0.0 ? 1000.0 * serve.rounds / serve.ms : 0.0;
 
   double decide_speedup = full_fast_us > 0.0 ? full_ref_us / full_fast_us : 0.0;
-  double pipeline_speedup =
-      run_fast_ms > 0.0 ? run_serial_ms / run_fast_ms : 0.0;
 
-  // One instrumented pass of the pipelined variant: where the time goes.
+  // One instrumented pass of the e2e run: where the time goes.
   PhaseProfile phases;
   double profile_wall_ms = 0.0;
   if (profile) {
-    LiteReconfigProtocol protocol(&models, run_fast.sched, "LiteReconfig");
+    LiteReconfigProtocol protocol(&models, LiteReconfigProtocol::FullConfig(),
+                                  "LiteReconfig");
     EvalConfig config;
     config.slo_ms = 33.3;
     config.threads = threads;
-    config.pipeline = true;
     config.now_us = NowMicros;
     WallTimer timer;
     EvalResult result = OnlineRunner::Run(protocol, e2e_dataset, config);
@@ -348,13 +321,7 @@ int Run(int argc, char** argv) {
                 FmtDouble(select_fast_us > 0.0 ? select_ref_us / select_fast_us
                                                : 0.0,
                           2)});
-  table.AddRow({"Run e2e (sched fast/ref), ms", FmtDouble(run_fast_ms, 1),
-                FmtDouble(run_reference_ms, 1),
-                FmtDouble(run_fast_ms > 0.0 ? run_reference_ms / run_fast_ms
-                                            : 0.0,
-                          2)});
-  table.AddRow({"Run e2e (pipeline on/off), ms", FmtDouble(run_fast_ms, 1),
-                FmtDouble(run_serial_ms, 1), FmtDouble(pipeline_speedup, 2)});
+  table.AddRow({"Run e2e, ms", FmtDouble(run_ms, 1), "", ""});
   table.AddRow({"Serve warm, ms (" + FmtDouble(serve_rounds_per_s, 0) +
                     " rounds/s)",
                 FmtDouble(serve.ms, 1), "", ""});
@@ -400,10 +367,7 @@ int Run(int argc, char** argv) {
        << ",\n";
   json << JsonSection("select_features", select_fast_us, select_ref_us, "us")
        << ",\n";
-  json << JsonSection("e2e_run", run_fast_ms, run_reference_ms, "ms") << ",\n";
-  json << "  \"e2e_pipeline\": {\"on_ms\": " << run_fast_ms
-       << ", \"off_ms\": " << run_serial_ms
-       << ", \"speedup\": " << pipeline_speedup << "},\n";
+  json << "  \"e2e_run\": {\"fast_ms\": " << run_ms << "},\n";
   json << "  \"serve_warm\": {\"fast_ms\": " << serve.ms
        << ", \"rounds\": " << serve.rounds
        << ", \"rounds_per_s\": " << serve_rounds_per_s << "},\n";
@@ -428,13 +392,6 @@ int Run(int argc, char** argv) {
     std::cerr << "bench_perf: Decide (kFull) fast path is only "
               << FmtDouble(decide_speedup, 2)
               << "x the reference; the acceptance gate is 2x\n";
-    return 1;
-  }
-  if (pipeline_speedup < 1.0) {
-    std::cerr << "bench_perf: the pipelined+batched plan is "
-              << FmtDouble(pipeline_speedup, 2)
-              << "x the serial reference executor; the acceptance gate is "
-                 "1.0x (the batched plan must never cost throughput)\n";
     return 1;
   }
   return 0;

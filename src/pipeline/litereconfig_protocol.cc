@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <string_view>
 
 #include "src/features/light.h"
 #include "src/platform/gof_exec.h"
@@ -61,22 +62,6 @@ SchedulerConfig LiteReconfigProtocol::ForcedFeatureConfig(FeatureKind feature) {
   return config;
 }
 
-void LiteReconfigProtocol::TraceFaults(const FaultRuntime& faults,
-                                       size_t first_index, uint64_t video_seed) {
-  if (trace_ == nullptr) {
-    return;
-  }
-  const std::vector<FailureReport>& failures = faults.accounting().failures;
-  for (size_t i = first_index; i < failures.size(); ++i) {
-    DecisionRecord record;
-    record.event = "fault";
-    record.video_seed = video_seed;
-    record.frame = failures[i].frame;
-    record.branch_id = std::string(FailureKindName(failures[i].kind));
-    trace_->Write(record);
-  }
-}
-
 VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
                                              const RunEnv& env) {
   const BranchSpace& space = *models_->space;
@@ -86,12 +71,9 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
   // Every frame slot is preallocated so GoF outputs are written in place.
   // The invariant is that slots [0, t) hold the emitted frames.
   stats.frames.resize(static_cast<size_t>(video.frame_count()));
-  // The batched scheduler: one session per stream reuses the cost-table
-  // columns whose inputs did not change across consecutive GoFs. The serial
-  // reference executor (env.pipeline == false) passes no session, so each
-  // decision prices through a fresh one.
+  // One scheduler session per stream: each GoF's decision reuses the
+  // cost-table columns whose inputs did not change since the last one.
   SchedulerSession session;
-  SchedulerSession* const session_ptr = env.pipeline ? &session : nullptr;
   Pcg32 rng(HashKeys({video.spec().seed, env.run_salt, 0x117e2ull}));
   // The last anchor's detections: the preheat probe's until the first GoF,
   // then the anchor's stats.frames slot (stable storage: the vector is
@@ -152,6 +134,29 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
   }
   // Family-demotion edge tracking for the "demote"/"restore" trace events.
   bool in_cpu_fallback = false;
+  // Every trace line but the per-GoF decision record: a fault, drift or
+  // family-edge event at `frame`, its kind or branch in branch_id.
+  auto trace_event = [&](const char* event, int frame, std::string_view detail) {
+    if (trace_ == nullptr) {
+      return;
+    }
+    DecisionRecord record;
+    record.event = event;
+    record.video_seed = video.spec().seed;
+    record.frame = frame;
+    record.branch_id = std::string(detail);
+    trace_->Write(record);
+  };
+  // One "fault" event per failure booked since `first_mark` (a snapshot of
+  // accounting().failures.size()); `denials_only` keeps just gpu_denied.
+  auto trace_faults = [&](size_t first_mark, bool denials_only) {
+    const std::vector<FailureReport>& failures = faults.accounting().failures;
+    for (size_t i = first_mark; i < failures.size(); ++i) {
+      if (!denials_only || failures[i].kind == FailureKind::kGpuDenied) {
+        trace_event("fault", failures[i].frame, FailureKindName(failures[i].kind));
+      }
+    }
+  };
   {
     // Preheat pass (paper footnote 6: "all branches and models are loaded and
     // preheated with several video frames in the beginning"): one cheap
@@ -167,17 +172,14 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
       gpu_cal = observed / profiled.DetectorMs(probe);
     }
   }
-  // The batched plan's SoA track arena, reused by every GoF of the stream:
-  // steady-state GoFs allocate no track state at all.
-  TrackBatch stream_arena;
+  // The stream's SoA track arena, reused by every GoF: steady-state GoFs
+  // allocate no track state at all.
+  TrackBatch arena;
   GofExecutor exec(video, env.run_salt, *platform, rng);
   exec.set_switching(env.switching, &stats.switch_count);
   exec.set_profile(now, &stats.phases.detect_us, &stats.phases.track_us);
   int t = 0;
   while (t < video.frame_count()) {
-    // The reference executor (pipeline off) tracks each GoF in a fresh arena.
-    TrackBatch gof_arena;
-    TrackBatch& arena = env.pipeline ? stream_arena : gof_arena;
     size_t begin_mark = faults.accounting().failures.size();
     faults.BeginGof(t);
     if (faults.active()) {
@@ -185,24 +187,11 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
       platform_local.set_thermal_scale(faults.ThermalAt(t));
     }
     size_t fault_mark = faults.accounting().failures.size();
-    // BeginGof books interval-entry failures before fault_mark, so the main
-    // TraceFaults pass never sees them. Denial entries are traced here (the
-    // summary tool keys its denial report on them); burst/ramp entries keep
-    // their pre-existing trace behaviour so non-denial traces stay
-    // byte-identical.
-    if (trace_ != nullptr) {
-      const std::vector<FailureReport>& entry = faults.accounting().failures;
-      for (size_t i = begin_mark; i < fault_mark; ++i) {
-        if (entry[i].kind == FailureKind::kGpuDenied) {
-          DecisionRecord record;
-          record.event = "fault";
-          record.video_seed = video.spec().seed;
-          record.frame = entry[i].frame;
-          record.branch_id = std::string(FailureKindName(entry[i].kind));
-          trace_->Write(record);
-        }
-      }
-    }
+    // BeginGof books interval-entry failures before fault_mark, so the GoF's
+    // own fault pass never sees them. Of those only denial entries are traced
+    // (the summary tool keys its denial report on them); burst and ramp
+    // entries stay out of the trace.
+    trace_faults(begin_mark, /*denials_only=*/true);
     // GPU-denied interval covering this GoF's anchor frame. With a CPU family
     // in the space the scheduler is re-run under the availability mask (GPU
     // branches price +inf) and the GoF is clipped to the interval end so the
@@ -262,7 +251,7 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
           }
         }
       }
-      decision = scheduler_.Decide(ctx, session_ptr);
+      decision = scheduler_.Decide(ctx, &session);
     }
     // A tracker-only GoF (tail continuation or coast) on `from`'s coast
     // tracker, from the last emitted frame (slot t-1) into slots [t, ...).
@@ -280,7 +269,7 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
       if (coasted && denied) {
         faults.RecordDeniedGof(/*cpu_fallback=*/false);
       }
-      TraceFaults(faults, fault_mark, video.spec().seed);
+      trace_faults(fault_mark, /*denials_only=*/false);
       t += span.frames;
     };
     // Frames [0, t) are always emitted, so t > 0 means frames exist.
@@ -396,24 +385,12 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
     // after it.
     if (branch.detector.cpu != in_cpu_fallback) {
       in_cpu_fallback = branch.detector.cpu;
-      if (trace_ != nullptr) {
-        DecisionRecord edge;
-        edge.event = in_cpu_fallback ? "demote" : "restore";
-        edge.video_seed = video.spec().seed;
-        edge.frame = t;
-        edge.branch_id = branch.Id();
-        trace_->Write(edge);
-      }
+      trace_event(in_cpu_fallback ? "demote" : "restore", t, branch.Id());
+    }
+    if (replan_early) {
+      trace_event("replan", t, branch.Id());
     }
     if (trace_ != nullptr) {
-      if (replan_early) {
-        DecisionRecord replan;
-        replan.event = "replan";
-        replan.video_seed = video.spec().seed;
-        replan.frame = t;
-        replan.branch_id = branch.Id();
-        trace_->Write(replan);
-      }
       DecisionRecord record;
       record.video_seed = video.spec().seed;
       record.frame = t;
@@ -433,7 +410,7 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
       record.gpu_cal = gpu_cal;
       trace_->Write(record);
     }
-    TraceFaults(faults, fault_mark, video.spec().seed);
+    trace_faults(fault_mark, /*denials_only=*/false);
     if (predictive) {
       // Slow loop: the drift monitor compares the decision-time nominal
       // prediction (branch cost + the amortized scheduler/switch overheads it
@@ -467,28 +444,14 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
         cpu_cal = std::clamp(cpu_ratio, kCpuCalFloor, kCpuCalCeil);
         drift.Rebaseline();
         faults.RecordRecalibration();
-        if (trace_ != nullptr) {
-          DecisionRecord event;
-          event.event = "recalibrate";
-          event.video_seed = video.spec().seed;
-          event.frame = t;
-          event.branch_id = "latency";
-          trace_->Write(event);
-        }
+        trace_event("recalibrate", t, "latency");
       } else if (status.content_drift) {
         // Content regime changed relative to the anchor window: trust the
         // content-aware accuracy models more than the stale light-only prior.
         heavy_blend = kReanchoredHeavyBlend;
         drift.Rebaseline();
         faults.RecordReanchor();
-        if (trace_ != nullptr) {
-          DecisionRecord event;
-          event.event = "reanchor";
-          event.video_seed = video.spec().seed;
-          event.frame = t;
-          event.branch_id = "content";
-          trace_->Write(event);
-        }
+        trace_event("reanchor", t, "content");
       }
     }
     anchor_ref = &anchor_dets;

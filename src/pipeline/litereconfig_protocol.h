@@ -40,11 +40,6 @@ class LiteReconfigProtocol : public Protocol {
   static SchedulerConfig ForcedFeatureConfig(FeatureKind feature);
 
  private:
-  // Emits a "fault" trace record for each failure the fault runtime recorded
-  // since `first_index` (a snapshot of accounting().failures.size()).
-  void TraceFaults(const FaultRuntime& faults, size_t first_index,
-                   uint64_t video_seed);
-
   const TrainedModels* models_;
   LiteReconfigScheduler scheduler_;
   std::string name_;

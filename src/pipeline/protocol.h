@@ -84,16 +84,6 @@ struct RunEnv {
   // recalibration loop. Only takes effect when faults are injected and
   // `degrade` is on; the no-fault path is untouched by construction.
   bool predictive = false;
-  // The batched execution plan. Protocols that support it (a) price every
-  // GoF decision of a stream through one SchedulerSession, which reuses the
-  // cost table's switch-cost row, effective-GoF columns and latency column
-  // whenever their own inputs did not change, and (b) hand the GoF executor
-  // one track arena reused by every GoF of the stream. Off is the serial
-  // reference executor — a fresh session (every column priced) every
-  // decision, a fresh track arena every GoF. Results are bit-identical
-  // either way — the flag exists for the perf harness and for the identity
-  // tests that prove it.
-  bool pipeline = true;
   // Optional per-phase profiling clock; null (the default) disables timing.
   PhaseClockFn now_us = nullptr;
 };

@@ -26,7 +26,6 @@ EvalResult OnlineRunner::Run(Protocol& protocol, const Dataset& validation,
   env.fault_seed = config.fault_seed;
   env.degrade = config.degrade;
   env.predictive = config.predictive;
-  env.pipeline = config.pipeline;
   env.now_us = config.now_us;
 
   const int threads = ResolveThreadCount(config.threads);

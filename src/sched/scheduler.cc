@@ -237,26 +237,19 @@ std::vector<double> LiteReconfigScheduler::PredictAccuracy(
   }
   // The content-aware models refine (not replace) the content-agnostic
   // prediction: blending with the light-only model bounds the estimation
-  // variance the heavy models add on top of their content signal. The
-  // blend == 0.5 form is kept verbatim so the default path stays bit-exact.
+  // variance the heavy models add on top of their content signal. At the
+  // default blend of 0.5 this is bit-identical to 0.5 * (x + l): 1.0 - 0.5 is
+  // exact, and scaling by a power of two commutes with rounding.
   for (size_t b = 0; b < combined.size(); ++b) {
-    if (ctx.heavy_blend == 0.5) {
-      combined[b] = 0.5 * (combined[b] / static_cast<double>(heavy.size()) +
-                           light_pred[b]);
-    } else {
-      combined[b] =
-          ctx.heavy_blend * (combined[b] / static_cast<double>(heavy.size())) +
-          (1.0 - ctx.heavy_blend) * light_pred[b];
-    }
+    combined[b] =
+        ctx.heavy_blend * (combined[b] / static_cast<double>(heavy.size())) +
+        (1.0 - ctx.heavy_blend) * light_pred[b];
   }
   return combined;
 }
 
 SchedulerDecision LiteReconfigScheduler::Decide(const DecisionContext& ctx,
                                                 SchedulerSession* session) const {
-  if (!config_.use_fast_path) {
-    return DecideReference(ctx);
-  }
   assert(ctx.video != nullptr && ctx.anchor_detections != nullptr);
   const VideoSpec& spec = ctx.video->spec();
   std::vector<double> light =

@@ -83,11 +83,6 @@ struct SchedulerConfig {
   // let the runtime calibrate latency predictions against observed kernel
   // times (contention adaptation).
   bool use_contention_calibration = true;
-  // Route Decide/SelectFeatures through the precomputed DecisionCostTable.
-  // Off runs the retained reference implementation instead — bit-identical
-  // decisions (see tests/sched_fastpath_test.cc), only slower; bench_perf uses
-  // this to measure the end-to-end cost of the scheduler hot path.
-  bool use_fast_path = true;
 };
 
 struct DecisionContext {
@@ -167,8 +162,9 @@ class LiteReconfigScheduler {
   }
 
   // The retained pre-table implementation: re-evaluates the latency predictor
-  // for every probe. Kept as the executable specification the fast path is
-  // property-tested against, and as the perf-harness baseline (bench_perf).
+  // for every probe. No run takes it; it is the per-decision oracle that the
+  // tests compare Decide against bit for bit, and the baseline bench_perf
+  // times Decide against.
   SchedulerDecision DecideReference(const DecisionContext& ctx) const;
 
   // Greedy cost-benefit feature selection (Eq. 4), fast and reference forms.
@@ -193,7 +189,8 @@ class LiteReconfigScheduler {
       const DecisionCostTable& table) const;
 
   // Which heavy features the configured mode requests (shared by both paths;
-  // `fast` picks the table-backed or reference greedy selection for kFull).
+  // for kFull a `table` picks the table-backed greedy selection, nullptr the
+  // reference one).
   std::vector<FeatureKind> ChooseHeavyFeatures(
       const std::vector<double>& light, const std::vector<double>& light_pred,
       const DecisionContext& ctx, const DecisionCostTable* table) const;

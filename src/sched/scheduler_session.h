@@ -4,8 +4,8 @@
 // A SchedulerSession belongs to one stream and prices every DecisionCostTable
 // that stream asks for:
 //
-//   * single-tenant runs hold one per RunVideo call and route each GoF's
-//     Decide through it (the pipeline=false executor passes none);
+//   * single-tenant runs hold one per RunVideo call and route every GoF's
+//     Decide through it;
 //   * serving holds one per StreamSession, shared by the round's allocation
 //     menu (BuildBranchMenu) and the round's decision (Decide). The menu is
 //     priced at the unbudgeted context and the decision at the granted

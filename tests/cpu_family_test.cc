@@ -195,12 +195,7 @@ TEST(CpuFamilySchedulerTest, FastPathMatchesReferenceUnderAvailabilityMask) {
   const SyntheticVideo& video = TinyValidation().videos[0];
   DetectionList anchor =
       ExecutionKernel::DetectAnchor(video, 0, extended.space->at(0), 3);
-  SchedulerConfig fast_config = LiteReconfigProtocol::FullConfig();
-  fast_config.use_fast_path = true;
-  SchedulerConfig reference_config = fast_config;
-  reference_config.use_fast_path = false;
-  LiteReconfigScheduler fast(&extended, fast_config);
-  LiteReconfigScheduler reference(&extended, reference_config);
+  LiteReconfigScheduler scheduler(&extended, LiteReconfigProtocol::FullConfig());
   for (bool gpu_available : {true, false}) {
     DecisionContext ctx;
     ctx.video = &video;
@@ -210,8 +205,8 @@ TEST(CpuFamilySchedulerTest, FastPathMatchesReferenceUnderAvailabilityMask) {
     ctx.slo_ms = 33.3;
     ctx.frames_remaining = video.frame_count() - 8;
     ctx.gpu_available = gpu_available;
-    SchedulerDecision a = fast.Decide(ctx);
-    SchedulerDecision b = reference.Decide(ctx);
+    SchedulerDecision a = scheduler.Decide(ctx);
+    SchedulerDecision b = scheduler.DecideReference(ctx);
     EXPECT_EQ(a.branch_index, b.branch_index) << "mask " << gpu_available;
     EXPECT_EQ(a.infeasible, b.infeasible);
     EXPECT_EQ(a.predicted_accuracy, b.predicted_accuracy);

@@ -272,22 +272,6 @@ TEST(GoldenRunsPinTest, LiteReconfigCpuFamilyDeniedModerateTraceBytes) {
                  0xa059c1d3784a5604ull, {"decision", "demote", "restore", "gpu_denied"});
 }
 
-TEST(GoldenRunsPinTest, LiteReconfigSevereReferenceExecutor) {
-  // The pipeline=false reference executor must land on the same bytes as the
-  // batched plan under faults (tail, coast and denial paths included).
-  constexpr uint64_t kDigest = 0xe4de39b9ac7603f8ull;
-  LiteReconfigProtocol protocol(&TinyModels(), LiteReconfigProtocol::FullConfig(),
-                                "litereconfig");
-  RunCase run{"", "litereconfig", 33.3, "severe", kSevereSeed, false, 0};
-  for (int threads : kThreadCounts) {
-    EvalConfig config = MakeConfig(run, threads);
-    config.pipeline = false;
-    EvalResult result = OnlineRunner::Run(protocol, TinyValidation(), config);
-    EXPECT_EQ(Hex(Fnv1a(EvalResultJson(result))), Hex(kDigest))
-        << "threads=" << threads;
-  }
-}
-
 // An arrival storm tight enough that, at fault seed 4, the severe preset
 // engages the pressure ladder's coasting and gpu_denied both demotes to the
 // CPU family and (without one) coasts.

@@ -91,30 +91,24 @@ TEST(ParallelEvalTest, ParallelRunIsStableAcrossRepeats) {
   ExpectIdentical(first, second);
 }
 
-// The batched-plan contract: the scheduler session and the arena-backed
-// tracker halves reproduce the serial reference executor exactly, so the
-// pipelined run is bit-identical to the serial (pipeline=false) run at every
-// thread count, including with faults and the predictive-robustness loops
-// armed.
-TEST(ParallelEvalTest, PipelinedRunMatchesSerialAtEveryThreadCount) {
-  LiteReconfigProtocol protocol(&TinyModels(), LiteReconfigProtocol::FullConfig(),
-                                "lrc");
-  EvalConfig serial_config;
-  serial_config.slo_ms = 33.3;
-  serial_config.threads = 1;
-  serial_config.pipeline = false;
-  EvalResult serial = OnlineRunner::Run(protocol, TinyValidation(), serial_config);
-  EXPECT_GT(serial.frames, 0u);
-  for (int threads : {1, 2, 4, 8}) {
-    EvalConfig config = serial_config;
+// Runs `base` at threads=1 and checks that {2, 4, 8} threads reproduce it.
+void ExpectIdenticalAcrossThreadCounts(Protocol& protocol, EvalConfig base) {
+  base.threads = 1;
+  EvalResult sequential = OnlineRunner::Run(protocol, TinyValidation(), base);
+  EXPECT_GT(sequential.frames, 0u);
+  EXPECT_GT(sequential.faults_injected, 0);
+  for (int threads : {2, 4, 8}) {
+    EvalConfig config = base;
     config.threads = threads;
-    config.pipeline = true;
-    EvalResult pipelined = OnlineRunner::Run(protocol, TinyValidation(), config);
-    ExpectIdentical(serial, pipelined);
+    ExpectIdentical(sequential,
+                    OnlineRunner::Run(protocol, TinyValidation(), config));
   }
 }
 
-TEST(ParallelEvalTest, PipelinedRunIsIdenticalUnderFaultsAndPredictive) {
+// Faults with the predictive-robustness loops armed: each stream's scheduler
+// session and track arena carry state across GoFs, fault paths included, and
+// none of it may depend on the fan-out width.
+TEST(ParallelEvalTest, LiteReconfigIsIdenticalUnderFaultsAndPredictive) {
   LiteReconfigProtocol protocol(&TinyModels(), LiteReconfigProtocol::FullConfig(),
                                 "lrc");
   EvalConfig base;
@@ -123,25 +117,14 @@ TEST(ParallelEvalTest, PipelinedRunIsIdenticalUnderFaultsAndPredictive) {
   base.fault_seed = 11;
   base.degrade = true;
   base.predictive = true;
-  base.threads = 1;
-  base.pipeline = false;
-  EvalResult serial = OnlineRunner::Run(protocol, TinyValidation(), base);
-  EXPECT_GT(serial.faults_injected, 0);
-  for (int threads : {1, 2, 4, 8}) {
-    EvalConfig config = base;
-    config.threads = threads;
-    config.pipeline = true;
-    EvalResult pipelined = OnlineRunner::Run(protocol, TinyValidation(), config);
-    ExpectIdentical(serial, pipelined);
-  }
+  ExpectIdenticalAcrossThreadCounts(protocol, base);
 }
 
-// Same identity with GPU contention armed: contention drives the per-GoF EWMA
-// recalibration, so every scheduler invocation prices the latency column at a
-// fresh calibration while the SchedulerSession reuses the switch-cost row and
-// effective-GoF columns. The batched (pipeline=true) run must still match the
-// serial reference bit-for-bit at every thread count.
-TEST(ParallelEvalTest, PipelinedBatchedRunIsIdenticalUnderFaultsAndContention) {
+// The same with GPU contention armed: contention drives the per-GoF EWMA
+// recalibration, so every decision prices the latency column at a fresh
+// calibration while the session reuses the switch-cost row and effective-GoF
+// columns.
+TEST(ParallelEvalTest, LiteReconfigIsIdenticalUnderFaultsPredictiveAndContention) {
   LiteReconfigProtocol protocol(&TinyModels(), LiteReconfigProtocol::FullConfig(),
                                 "lrc");
   EvalConfig base;
@@ -151,17 +134,7 @@ TEST(ParallelEvalTest, PipelinedBatchedRunIsIdenticalUnderFaultsAndContention) {
   base.fault_seed = 23;
   base.degrade = true;
   base.predictive = true;
-  base.threads = 1;
-  base.pipeline = false;
-  EvalResult serial = OnlineRunner::Run(protocol, TinyValidation(), base);
-  EXPECT_GT(serial.frames, 0u);
-  for (int threads : {1, 2, 4, 8}) {
-    EvalConfig config = base;
-    config.threads = threads;
-    config.pipeline = true;
-    EvalResult pipelined = OnlineRunner::Run(protocol, TinyValidation(), config);
-    ExpectIdentical(serial, pipelined);
-  }
+  ExpectIdenticalAcrossThreadCounts(protocol, base);
 }
 
 // A shared tick counter as the injected profiling clock: every read advances

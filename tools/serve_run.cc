@@ -3,9 +3,9 @@
 // accuracy and the per-stream outcomes. The --json artifact is byte-identical
 // at any --threads value for a fixed arrival seed — the serve-determinism CI
 // job diffs exactly that file across thread counts.
-#include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -76,13 +76,13 @@ int Run(int argc, char** argv) {
   spec.num_streams = flags.GetCount("streams");
   spec.frames_per_video = flags.GetCount("frames");
   spec.slo_ms = flags.GetPositive("slo");
-  spec.mean_interarrival_rounds = flags.GetDouble("interarrival");
+  spec.mean_interarrival_rounds = flags.GetDoubleIn(
+      "interarrival", 0.0, std::numeric_limits<double>::infinity());
 
   ServeConfig config;
   config.allocator.mode = *mode;
-  config.admission.capacity = flags.GetDouble("capacity");
-  config.admission.max_streams =
-      static_cast<size_t>(std::max(flags.GetInt("max_streams"), 0));
+  config.admission.capacity = flags.GetDoubleIn("capacity", 0.0, 1.0);
+  config.admission.max_streams = static_cast<size_t>(flags.GetCount("max_streams"));
   config.threads = flags.GetCount("threads");
   std::optional<FaultSpec> faults = FaultSpec::FromName(flags.GetString("faults"));
   if (!faults) {
