@@ -189,11 +189,12 @@ TEST(GoldenRunsPinTest, LiteReconfigCpuFamilyDeniedModerate) {
   }
 }
 
-// The TinyValidation videos at four times their length. The re-plan, restore
-// and re-anchor events need a stream long enough for a burst to end, a denial
-// to close, or the drift monitor to fill two windows; none of them fires in
-// any 60-frame TinyValidation run (fault seeds 1-300, every preset). At fault
-// seed 16 every fault event kind of RunVideo fires at least once.
+// The TinyValidation videos at four times their length. The replan, restore
+// and reanchor events need a stream long enough for a burst to end, a denial
+// to close, or the drift monitor to fill two windows. None of them fires in a
+// 60-frame TinyValidation run at fault seeds 1-300, under any fault preset
+// (the denial presets with the CPU family). At fault seed 16 the two pinned
+// runs below write every event kind of RunVideo at least once.
 const Dataset& LongValidation() {
   static const Dataset* dataset = new Dataset(BuildDataset(
       DatasetSpec{/*base_seed=*/7, /*num_videos=*/4, /*frames_per_video=*/240},
@@ -229,8 +230,10 @@ int CountTraceEvents(const std::string& bytes, std::string_view kind) {
       TraceReader::ReadAllStrict(in, &error);
   EXPECT_TRUE(records.has_value()) << error;
   int count = 0;
-  for (const DecisionRecord& record : records.value_or(std::vector<DecisionRecord>{})) {
-    if (record.event == kind || (record.event == "fault" && record.branch_id == kind)) {
+  for (const DecisionRecord& record :
+       records.value_or(std::vector<DecisionRecord>{})) {
+    if (record.event == kind ||
+        (record.event == "fault" && record.branch_id == kind)) {
       ++count;
     }
   }
@@ -262,14 +265,16 @@ TEST(GoldenRunsPinTest, LiteReconfigSevereTraceBytes) {
 TEST(GoldenRunsPinTest, LiteReconfigSeverePredictiveTraceBytes) {
   ExpectTracePin(TinyModels(), LongValidation(),
                  {"", "litereconfig", 33.3, "severe", kTraceEventSeed, true, 0},
-                 0xf9cb3a665d7511dbull, {"decision", "replan", "recalibrate", "reanchor"});
+                 0xf9cb3a665d7511dbull,
+                 {"decision", "replan", "recalibrate", "reanchor"});
 }
 
 TEST(GoldenRunsPinTest, LiteReconfigCpuFamilyDeniedModerateTraceBytes) {
   ExpectTracePin(TinyCpuFamilyModels(), LongValidation(),
                  {"", "litereconfig", 33.3, "denied_moderate", kTraceEventSeed,
                   false, 0},
-                 0xa059c1d3784a5604ull, {"decision", "demote", "restore", "gpu_denied"});
+                 0xa059c1d3784a5604ull,
+                 {"decision", "demote", "restore", "gpu_denied"});
 }
 
 // An arrival storm tight enough that, at fault seed 4, the severe preset
