@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <string_view>
 
 #include "src/baselines/approxdet.h"
 #include "src/pipeline/litereconfig_protocol.h"
@@ -89,6 +91,31 @@ TEST(ParallelEvalTest, ParallelRunIsStableAcrossRepeats) {
   EvalResult first = RunWithThreads(protocol, 4);
   EvalResult second = RunWithThreads(protocol, 4);
   ExpectIdentical(first, second);
+}
+
+uint64_t Fnv1a(std::string_view bytes) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (char c : bytes) {
+    hash ^= static_cast<uint8_t>(c);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+// The single execution plan (scheduler session plus arena-backed tracker)
+// reproduces the serial reference executor it replaced: 0x308c4feebace0768 is
+// the FNV-1a digest of EvalResultJson that the serial executor wrote for this
+// run, and every thread count must write the same bytes.
+TEST(ParallelEvalTest, PipelinedRunMatchesSerialAtEveryThreadCount) {
+  constexpr uint64_t kSerialDigest = 0x308c4feebace0768ull;
+  LiteReconfigProtocol protocol(&TinyModels(), LiteReconfigProtocol::FullConfig(),
+                                "lrc");
+  for (int threads : {1, 2, 4, 8}) {
+    EvalResult result = RunWithThreads(protocol, threads);
+    EXPECT_GT(result.frames, 0u);
+    EXPECT_EQ(Fnv1a(EvalResultJson(result)), kSerialDigest)
+        << "threads=" << threads;
+  }
 }
 
 // Runs `base` at threads=1 and checks that {2, 4, 8} threads reproduce it.
